@@ -12,6 +12,7 @@ arithmetic; no floating point enters any result path.
 __version__ = "0.1.0"
 
 from .classnumber import real_quadratic_field
+from .congruence import residue_sign_group
 from .cli import SweepConfig, moduli_upto, run_invariants, run_verify
 from .eigen import EigenReport, eigensystem_report
 from .errors import (
@@ -44,7 +45,7 @@ from .hecke import (
 from .ideals import IdealHNF, ideal_from_generators, principal_ideal, rational_ideal, unit_ideal
 from .primes import PrimeIdeal, factor_prime, residue_field, residue_image
 from .principal import principal_generator
-from .rayclass import RayClassGroup, narrow_class_number, ray_class_group, residue_sign_group
+from .rayclass import RayClassGroup, narrow_class_number, ray_class_group
 from .units import EUnits, compute_rp, e_units, unit_generators, unit_image_in_modulus
 
 __all__ = [

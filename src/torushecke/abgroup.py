@@ -115,45 +115,9 @@ class ExponentGroup:
             n *= self.hnf[i][i]
         return n
 
-    def reduce(self, vec):
-        return hnf_reduce(self.hnf, vec)
-
-    def add(self, u, v):
-        return self.reduce(tuple(a + b for a, b in zip(u, v)))
-
-    def neg(self, u):
-        return self.reduce(tuple(-a for a in u))
-
-    def scale(self, c, u):
-        return self.reduce(tuple(c * a for a in u))
-
-    def is_identity(self, u):
-        return all(a == 0 for a in self.reduce(u))
-
     def invariant_factors(self):
         m = IntMatrix.from_rows([list(r) for r in self.hnf])
         return tuple(d for d in snf_diagonal(m) if d > 1)
-
-    def element_order(self, u):
-        # order divides the group order; peel prime factors off the exponent
-        n = self.order
-        u = self.reduce(u)
-        e = n
-        d = 2
-        rest = n
-        primes = []
-        while d * d <= rest:
-            if rest % d == 0:
-                primes.append(d)
-                while rest % d == 0:
-                    rest //= d
-            d += 1
-        if rest > 1:
-            primes.append(rest)
-        for q in primes:
-            while e % q == 0 and self.is_identity(self.scale(e // q, u)):
-                e //= q
-        return e
 
 
 @dataclass(frozen=True)
@@ -177,9 +141,6 @@ class QuotientStructure:
             row = self._u_rows[i]
             out.append(sum(row[j] * vec[j] for j in range(len(vec))) % self.factors[pos])
         return tuple(out)
-
-    def is_trivial_class(self, vec):
-        return all(c == 0 for c in self.project(vec))
 
 
 def quotient_structure(relation_columns, extra_columns, k):

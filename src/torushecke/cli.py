@@ -15,8 +15,8 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import congruence
 from .classnumber import degree_one_primes_over, real_quadratic_field
+from .congruence import RESIDUE_ENUMERATION_CAP
 from .eigen import eigensystem_report
 from .errors import (
     BudgetShortfall,
@@ -30,8 +30,8 @@ from .galois import is_prime
 from .hecke import compute_tp, psi_report, scan_t1, spanning_set
 from .ideals import IdealHNF, ideal_product, unit_ideal
 from .primes import balanced_coeffs, factor_prime, prime_to_ideal
-from .rayclass import ray_class_group
-from .units import InvariantsRecord, compute_rp, e_units, unit_image_in_modulus
+from .rayclass import narrow_class_number, ray_class_group
+from .units import InvariantsRecord, e_units, unit_image_in_modulus
 
 DEFAULT_BUDGET = 50
 
@@ -83,10 +83,26 @@ def moduli_of_norm(F: FieldDescriptor, norm):
 # ---------------------------------------------------------------- reports
 
 
-def assemble_report(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int = DEFAULT_BUDGET):
-    """Full per-configuration report; raises BudgetShortfall on scan failure."""
-    psi = psi_report(F, modulus, p, budget)
-    eig = eigensystem_report(F, modulus, p, budget)
+def assemble_report(
+    F: FieldDescriptor,
+    modulus: IdealHNF,
+    p: int,
+    budget: int = DEFAULT_BUDGET,
+    cap: int = RESIDUE_ENUMERATION_CAP,
+):
+    """Full per-configuration report, each stage built once and handed on.
+
+    Unit image, then E, then the t_p scan (raising BudgetShortfall if it
+    falls short), then the ray class group G, the pairing report and the
+    eigensystem census.  cap bounds the residue enumeration.
+    """
+    ui = unit_image_in_modulus(F, modulus, cap)
+    E = e_units(ui, p)
+    scan = compute_tp(E, p, budget)
+    scan.require_target()
+    G = ray_class_group(ui)
+    psi = psi_report(G, E, scan)
+    eig = eigensystem_report(G, scan)
     report = {
         "field": F.label,
         "modulus_norm": modulus.norm,
@@ -112,9 +128,15 @@ def assemble_report(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int =
     return psi, eig, report
 
 
-def run_invariants(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int = DEFAULT_BUDGET):
+def run_invariants(
+    F: FieldDescriptor,
+    modulus: IdealHNF,
+    p: int,
+    budget: int = DEFAULT_BUDGET,
+    cap: int = RESIDUE_ENUMERATION_CAP,
+):
     """InvariantsRecord plus report dict; asserts the rank identity."""
-    psi, _, report = assemble_report(F, modulus, p, budget)
+    psi, _, report = assemble_report(F, modulus, p, budget, cap)
     record = InvariantsRecord(
         p=p,
         r=psi.r,
@@ -131,9 +153,15 @@ def run_invariants(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int = 
     return record, report
 
 
-def verify_config(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int):
+def verify_config(
+    F: FieldDescriptor,
+    modulus: IdealHNF,
+    p: int,
+    budget: int,
+    cap: int = RESIDUE_ENUMERATION_CAP,
+):
     """Named pass/fail checks for one configuration."""
-    _, _, report = assemble_report(F, modulus, p, budget)
+    _, _, report = assemble_report(F, modulus, p, budget, cap)
     checks = [
         ("rank-identity", report["t_p"] == report["r_p"] - report["delta_p"]),
         (
@@ -164,34 +192,47 @@ class SweepConfig:
     primes: tuple
     budget: int = DEFAULT_BUDGET
     fmt: str = "json"
+    cap_residue: int = RESIDUE_ENUMERATION_CAP
 
 
 def run_verify(sweep: SweepConfig):
-    """(exit code, aggregated report) over every sweep configuration."""
+    """(exit code, aggregated report) over every sweep configuration.
+
+    A configuration that raises is recorded in its own row under "error"
+    and the sweep goes on: a budget or cap that ran out makes the exit code
+    2, any other error (like a failed check) makes it 1.
+    """
     results = []
     failures = []
     shortfall = False
+    errored = False
     for F in sweep.fields:
         pairs = moduli_upto(F, sweep.modulus_norm_bound)
         for p in sweep.primes:
             for modulus, norm in pairs:
                 if norm % p == 0:
                     continue
+                hnf = [list(r) for r in modulus.hnf]
                 try:
-                    checks, report = verify_config(F, modulus, p, sweep.budget)
-                except (BudgetShortfall, CapExceeded) as e:
-                    shortfall = True
+                    checks, report = verify_config(
+                        F, modulus, p, sweep.budget, sweep.cap_residue
+                    )
+                except (TorusHeckeError, ArithmeticError) as e:
+                    if isinstance(e, (BudgetShortfall, CapExceeded)):
+                        shortfall = True
+                    else:
+                        errored = True
                     results.append(
                         {
                             "field": F.label,
                             "modulus_norm": norm,
-                            "modulus_hnf": [list(r) for r in modulus.hnf],
+                            "modulus_hnf": hnf,
                             "p": p,
                             "error": f"{type(e).__name__}: {e}",
                         }
                     )
                     continue
-                report["modulus_hnf"] = [list(r) for r in modulus.hnf]
+                report["modulus_hnf"] = hnf
                 report["checks"] = {name: ok for name, ok in checks}
                 results.append(report)
                 for name, ok in checks:
@@ -200,13 +241,13 @@ def run_verify(sweep: SweepConfig):
                             {
                                 "field": F.label,
                                 "modulus_norm": norm,
-                                "modulus_hnf": [list(r) for r in modulus.hnf],
+                                "modulus_hnf": hnf,
                                 "p": p,
                                 "check": name,
                             }
                         )
     code = 0
-    if failures:
+    if failures or errored:
         code = 1
     if shortfall:
         code = 2
@@ -297,7 +338,7 @@ def cmd_field_info(args):
         "torsion_order": F.torsion_order,
         "fundamental_units": [list(u) for u in F.fundamental_units],
         "class_number": F.class_number,
-        "narrow_class_number": ray_class_group(F, unit_ideal(F)).order,
+        "narrow_class_number": narrow_class_number(F),
         "irreducibility_certificate_prime": cert["irreducibility_certificate_prime"],
         "provenance": F.provenance,
     }
@@ -320,7 +361,7 @@ def cmd_invariants(args):
                 file=sys.stderr,
             )
             continue
-        _, report = run_invariants(F, modulus, args.prime, args.budget)
+        _, report = run_invariants(F, modulus, args.prime, args.budget, args.cap_residue)
         reports.append(report)
     _emit(render_reports(reports, args.format), args.out)
     return 0
@@ -340,6 +381,7 @@ def cmd_verify(args):
         modulus_norm_bound=args.modulus_norm,
         primes=primes,
         budget=args.budget,
+        cap_residue=args.cap_residue,
     )
     code, aggregated = run_verify(sweep)
     if args.format == "csv":
@@ -358,7 +400,8 @@ def cmd_scan_primes(args):
         if modulus.norm % args.prime == 0:
             continue
         lines.append(f"# modulus norm {modulus.norm} hnf {modulus.hnf}")
-        for v, phi in scan_t1(F, modulus, args.prime, args.budget):
+        E = e_units(unit_image_in_modulus(F, modulus, args.cap_residue), args.prime)
+        for v, phi in scan_t1(E, args.prime, args.budget):
             bal = balanced_coeffs(v.g_poly, v.ell)
             lines.append(
                 f"ell={v.ell} f={v.f} g={bal} generator_encoding="
@@ -384,6 +427,13 @@ def cmd_spanning_set(args):
     return 2 if scan.shortfall else 0
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="torushecke",
@@ -401,7 +451,12 @@ def build_parser():
             sp.add_argument("--modulus-norm", type=int, default=1, help="modulus ideal norm")
         sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="scan budget")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--cap-residue", type=int, help="residue enumeration cap override")
+        sp.add_argument(
+            "--cap-residue",
+            type=_positive_int,
+            default=RESIDUE_ENUMERATION_CAP,
+            help="residue enumeration cap for this call (at least 1)",
+        )
         sp.add_argument("--out", help="write the report to this path")
 
     p_field = sub.add_parser("field", help="descriptor inspection")
@@ -438,8 +493,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "cap_residue", None):
-        congruence.RESIDUE_ENUMERATION_CAP = args.cap_residue
     try:
         return args.func(args)
     except (BudgetShortfall, CapExceeded) as e:

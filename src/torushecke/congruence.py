@@ -8,9 +8,8 @@ computations all reduce to lattice work on these vectors.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .abgroup import ExponentGroup, closure_from_stream
+from .abgroup import closure_from_stream
 from .errors import CapExceeded
 from .field import FieldDescriptor, element_mul, real_signs
 from .ideals import IdealHNF, element_is_coprime_to, residue_transversal
@@ -27,7 +26,6 @@ class CongruenceSignGroup:
     residue_generators: tuple
     residue_dlog: dict
     full_relation_columns: tuple
-    group: ExponentGroup
 
     @property
     def n_residue_gens(self):
@@ -60,15 +58,12 @@ class CongruenceSignGroup:
                 vec.append(0 if s == 1 else 1)
         return tuple(vec)
 
-    def vectors_equal(self, u, v):
-        return self.group.reduce(u) == self.group.reduce(v)
 
 
-@lru_cache(maxsize=None)
-def residue_sign_group(F: FieldDescriptor, modulus: IdealHNF):
+def residue_sign_group(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP):
     """Build the ambient group for a modulus; norms above the cap refuse."""
     nm = modulus.norm
-    if nm > RESIDUE_ENUMERATION_CAP:
+    if nm > cap:
         raise CapExceeded(f"modulus norm {nm} exceeds enumeration cap")
     identity = modulus.reduce(F.one())
 
@@ -89,12 +84,10 @@ def residue_sign_group(F: FieldDescriptor, modulus: IdealHNF):
     cols = [rel + (0,) * r1 for rel in closure.relation_columns]
     for j in range(r1):
         cols.append((0,) * (k + j) + (2,) + (0,) * (r1 - j - 1))
-    group = ExponentGroup.from_columns(cols, k + r1)
     return CongruenceSignGroup(
         modulus=modulus,
         field=F,
         residue_generators=closure.generators,
         residue_dlog=closure.dlog,
         full_relation_columns=tuple(cols),
-        group=group,
     )

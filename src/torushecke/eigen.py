@@ -13,11 +13,9 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from math import lcm
 
-from .field import FieldDescriptor
 from .galois import extension_field, find_generator
-from .hecke import compute_tp
-from .ideals import IdealHNF
-from .rayclass import ray_class_group
+from .hecke import TpScan
+from .rayclass import RayClassGroup
 
 
 def _p_prime_part(d, p):
@@ -51,8 +49,8 @@ class EigenReport:
     t_p: int
 
 
-def eigensystem_report(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int = 50):
-    G = ray_class_group(F, modulus)
+def eigensystem_report(G: RayClassGroup, scan: TpScan):
+    p = scan.p
     factors = G.invariant_factors()
     primed = tuple(_p_prime_part(d, p) for d in factors)
     m = lcm(*primed) if primed else 1
@@ -63,12 +61,11 @@ def eigensystem_report(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: in
     zero = field.zero()
 
     h = G.order
-    r = F.unit_rank
+    r = G.field.unit_rank
     coords = [G.snf_coords(i) for i in range(h)]
     weights = tuple(m // dp for dp in primed)
     gen_classes = [G.code_index[c] for c in G.presentation.generators]
 
-    scan = compute_tp(F, modulus, p, budget)
     phi = scan.certificate[0] if scan.certificate else None
     lifted_phi = None
     if phi is not None:

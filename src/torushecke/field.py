@@ -55,20 +55,8 @@ class FieldDescriptor:
         return (0, 1) + (0,) * (self.degree - 2)
 
 
-def element_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def element_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def element_neg(x):
     return tuple(-a for a in x)
-
-
-def element_scale(c, x):
-    return tuple(c * a for a in x)
 
 
 def reduce_mod_min_poly(coeffs, min_poly):
@@ -193,10 +181,6 @@ def poly_discriminant(min_poly):
     return sign * res
 
 
-def field_discriminant_bound(F: FieldDescriptor):
-    return abs(poly_discriminant(F.min_poly))
-
-
 def validate_descriptor(F: FieldDescriptor):
     """Check a descriptor's internal consistency; returns certificate data.
 
@@ -292,15 +276,3 @@ def load_descriptor(source):
         raise ValidationError(f"malformed field descriptor: {exc}") from exc
     validate_descriptor(F)
     return F
-
-
-def isolated_embedding_intervals(F: FieldDescriptor, rounds=20):
-    """Shrunken isolating intervals for the real roots, largest first.
-
-    Exposed for tests that cross-check the sign convention against an
-    independent high-precision evaluation.
-    """
-    out = []
-    for iv in _real_root_intervals(F.min_poly):
-        out.append(sturm.refine_interval(F.min_poly, iv, rounds))
-    return tuple(out)

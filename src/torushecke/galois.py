@@ -148,13 +148,6 @@ def poly_deriv(a, ell):
     return poly_trim([(i * a[i]) % ell for i in range(1, len(a))])
 
 
-def poly_eval(a, x, ell):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % ell
-    return acc
-
-
 def poly_is_irreducible(f, ell):
     """Rabin test: x^(ell^n) = x mod f, and no proper Frobenius fixes."""
     n = len(f) - 1

@@ -18,8 +18,8 @@ from .fplinalg import FpRankAccumulator
 from .galois import find_generator, pth_character, primes_stream
 from .ideals import IdealHNF, unit_ideal
 from .primes import PrimeIdeal, _min_poly_disc, factor_prime, residue_field, residue_image
-from .rayclass import RayClassGroup, ray_class_group
-from .units import compute_rp, e_units, unit_generators, unit_image_in_modulus
+from .rayclass import RayClassGroup
+from .units import EUnits, compute_rp, unit_generators
 
 ZERO_TARGET_VERIFICATION_FLOOR = 8
 
@@ -158,11 +158,10 @@ def t1_primes(F: FieldDescriptor, modulus: IdealHNF, p: int, residue_degree=None
                 yield v
 
 
-def scan_t1(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int, residue_degree=None):
+def scan_t1(E: EUnits, p: int, budget: int, residue_degree=None):
     """At most budget (prime, functional) pairs in canonical scan order."""
-    E = e_units(F, modulus, p)
     count = 0
-    for v in t1_primes(F, modulus, p, residue_degree):
+    for v in t1_primes(E.image.csg.field, E.modulus, p, residue_degree):
         if count >= budget:
             return
         yield v, unit_functional(v, E, p)
@@ -173,6 +172,7 @@ def scan_t1(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int, residue_
 class TpScan:
     """Outcome of stacking scanned characters against the rank target."""
 
+    p: int
     t_p: int
     target: int
     certificate: tuple
@@ -180,8 +180,15 @@ class TpScan:
     consumed: int
     shortfall: bool
 
+    def require_target(self):
+        """Raise BudgetShortfall if the budget ran out below the target rank."""
+        if self.shortfall:
+            raise BudgetShortfall(
+                f"rank {self.t_p} below target {self.target} after {self.consumed} primes"
+            )
 
-def compute_tp(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int = 50):
+
+def compute_tp(E: EUnits, p: int, budget: int = 50):
     """Rank of the stacked degree-1 characters, from residue-degree-1 primes.
 
     Stops as soon as the rank hits r_p - delta_p; if the target is zero the
@@ -189,17 +196,15 @@ def compute_tp(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int = 50):
     witnessed rather than assumed.  shortfall means the budget ran out with
     the rank still below target.
     """
-    E = e_units(F, modulus, p)
+    F = E.image.csg.field
     r = F.unit_rank
-    r_p = compute_rp(F, p)
-    delta = unit_image_in_modulus(F, modulus).delta_p(p)
-    target = r_p - delta
+    target = compute_rp(F, p) - E.image.delta_p(p)
     acc = FpRankAccumulator(p, r)
     certificate = []
     visited = []
     consumed = 0
     floor = 0 if target > 0 else min(budget, ZERO_TARGET_VERIFICATION_FLOOR)
-    for v in t1_primes(F, modulus, p, residue_degree=1):
+    for v in t1_primes(F, E.modulus, p, residue_degree=1):
         if acc.rank >= target and consumed >= floor:
             break
         if consumed >= budget:
@@ -210,6 +215,7 @@ def compute_tp(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int = 50):
         if acc.add(phi.values):
             certificate.append(phi)
     return TpScan(
+        p=p,
         t_p=acc.rank,
         target=target,
         certificate=tuple(certificate),
@@ -286,22 +292,17 @@ class PsiReport:
     scan: TpScan
 
 
-def psi_report(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int = 50):
+def psi_report(G: RayClassGroup, E: EUnits, scan: TpScan):
     """Measure the pairing H^1-block by explicitly applying scanned operators.
 
     The domain is one copy of the stacked-character span per class; the
     image is spanned by H_phi applied to the class indicators.  Both ranks
     are computed, compared, and checked against h_plus * t_p.
     """
-    scan = compute_tp(F, modulus, p, budget)
-    if scan.shortfall:
-        raise BudgetShortfall(
-            f"rank {scan.t_p} below target {scan.target} after {scan.consumed} primes"
-        )
-    E = e_units(F, modulus, p)
-    G = ray_class_group(F, modulus)
-    r = F.unit_rank
-    r_p = compute_rp(F, p)
+    scan.require_target()
+    p = scan.p
+    r = G.field.unit_rank
+    r_p = compute_rp(G.field, p)
     h = G.order
     hypothesis = E.index % p != 0
     dim_H0 = h
@@ -334,7 +335,7 @@ def psi_report(F: FieldDescriptor, modulus: IdealHNF, p: int, budget: int = 50):
     )
 
 
-def degree_two_pullback(v: PrimeIdeal, F: FieldDescriptor, modulus: IdealHNF, p: int):
+def degree_two_pullback(v: PrimeIdeal, G: RayClassGroup, p: int):
     """Degree-2 block of the derived action after restriction: always zero.
 
     The obstruction class lives on the cyclic group of order n = q - 1 and
@@ -350,5 +351,4 @@ def degree_two_pullback(v: PrimeIdeal, F: FieldDescriptor, modulus: IdealHNF, p:
             resolved = (a + b) // n - a // n - b // n
             if carry != resolved:
                 raise ArithmeticError("carry cocycle failed to trivialize")
-    G = ray_class_group(F, modulus)
-    return CohomologyClass.zero(p, F.unit_rank, 2, G.order)
+    return CohomologyClass.zero(p, G.field.unit_rank, 2, G.order)

@@ -36,10 +36,6 @@ class IntMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.entries else ())
-
-
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ValueError("shape mismatch")

@@ -78,7 +78,3 @@ def balanced_coeffs(g, ell):
     """Coefficients folded into (-ell/2, ell/2]; the scan's tiebreak order."""
     half = ell // 2
     return tuple(((c + half) % ell) - half for c in g)
-
-
-def prime_sort_key(v: PrimeIdeal):
-    return (v.ell, v.f, balanced_coeffs(v.g_poly, v.ell))

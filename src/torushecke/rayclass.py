@@ -9,18 +9,17 @@ law never touches ideal arithmetic after construction.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product as iter_product
 
 from .abgroup import PolycyclicClosure, QuotientStructure, closure_from_stream, quotient_structure
 from .classnumber import wide_class_of, wide_class_reps
-from .congruence import CongruenceSignGroup, residue_sign_group
+from .congruence import CongruenceSignGroup
 from .errors import Inconclusive, ValidationError
 from .field import FieldDescriptor
 from .ideals import IdealHNF, conjugate_ideal, ideal_is_coprime, ideal_product, unit_ideal
 from .primes import factor_prime, prime_to_ideal, _min_poly_disc
 from .principal import FOUND, NOT_FOUND, principal_generator
-from .units import unit_image_in_modulus
+from .units import UnitImage, unit_image_in_modulus
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +150,11 @@ def _principal_part(a, k, wide_reps, csg, quotient, F):
     return tuple((x - y) % f for x, y, f in zip(q_delta, q_m, quotient.factors))
 
 
-@lru_cache(maxsize=None)
-def ray_class_group(F: FieldDescriptor, modulus: IdealHNF):
-    """Narrow ray class group for the given modulus ideal."""
-    csg = residue_sign_group(F, modulus)
-    ui = unit_image_in_modulus(F, modulus)
+def ray_class_group(ui: UnitImage):
+    """Narrow ray class group of the modulus the unit image was built for."""
+    csg = ui.csg
+    F = csg.field
+    modulus = csg.modulus
     quotient = quotient_structure(csg.full_relation_columns, ui.map_columns, csg.width)
     wide_reps = wide_class_reps(F, coprime_to=modulus)
     h = len(wide_reps)
@@ -218,4 +217,4 @@ def ray_class_group(F: FieldDescriptor, modulus: IdealHNF):
 
 def narrow_class_number(F: FieldDescriptor):
     """h_plus of the field: ray classes for the trivial modulus."""
-    return ray_class_group(F, unit_ideal(F)).order
+    return ray_class_group(unit_image_in_modulus(F, unit_ideal(F))).order

@@ -4,14 +4,16 @@ The subgroup of totally positive units congruent to 1 modulo an ideal is
 computed as a kernel lattice: exponent vectors over (zeta, eps_1..eps_r) that
 die in the congruence-sign group.  Its Hermite basis gives deterministic free
 generators, the lattice index gives [O^x : E], and the Smith invariants of
-the quotient give every delta_p at once.
+the quotient give every delta_p at once.  An EUnits carries the UnitImage
+it was cut from, so later stages read the index and delta_p off E without
+rebuilding the image.
 """
 
 from dataclasses import dataclass
 from math import isqrt
 
 from .abgroup import KernelLattice, kernel_of_map
-from .congruence import CongruenceSignGroup, residue_sign_group
+from .congruence import RESIDUE_ENUMERATION_CAP, CongruenceSignGroup, residue_sign_group
 from .errors import TorsionObstruction
 from .field import (
     FieldDescriptor,
@@ -108,8 +110,8 @@ class UnitImage:
         return sum(1 for d in self.image_invariant_factors if d % p == 0)
 
 
-def unit_image_in_modulus(F: FieldDescriptor, modulus: IdealHNF):
-    csg = residue_sign_group(F, modulus)
+def unit_image_in_modulus(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP):
+    csg = residue_sign_group(F, modulus, cap)
     gens = unit_generators(F)
     cols = tuple(csg.element_vector(g) for g in gens)
     kern = kernel_of_map(cols, csg.full_relation_columns, len(gens), csg.width)
@@ -122,28 +124,40 @@ class EUnits:
 
     exponent_vectors are columns over (zeta, eps_1..eps_r) generating the
     free part; torsion_order is the order of the torsion subgroup inside
-    (trivial whenever the field has a real place).
+    (trivial whenever the field has a real place).  image is the UnitImage
+    the group was cut from.
     """
 
-    modulus: IdealHNF
+    image: UnitImage
     exponent_vectors: tuple
     values: tuple
     torsion_order: int
-    index: int
-    image_invariant_factors: tuple
+
+    @property
+    def modulus(self):
+        return self.image.csg.modulus
+
+    @property
+    def index(self):
+        return self.image.index
+
+    @property
+    def image_invariant_factors(self):
+        return self.image.image_invariant_factors
 
     @property
     def rank(self):
         return len(self.exponent_vectors)
 
 
-def e_units(F: FieldDescriptor, modulus: IdealHNF, p=None):
-    """Compute E(modulus) with verified generators.
+def e_units(ui: UnitImage, p=None):
+    """Compute E(modulus) from the unit image, with verified generators.
 
     When p is given and the subgroup has torsion of order divisible by p the
     cohomology model downstream is invalid and the computation refuses.
     """
-    ui = unit_image_in_modulus(F, modulus)
+    F = ui.csg.field
+    modulus = ui.csg.modulus
     K = ui.kernel.hnf
     w = F.torsion_order
     r = F.unit_rank
@@ -170,22 +184,16 @@ def e_units(F: FieldDescriptor, modulus: IdealHNF, p=None):
         vectors.append(col)
         values.append(eta)
     return EUnits(
-        modulus=modulus,
+        image=ui,
         exponent_vectors=tuple(vectors),
         values=tuple(values),
         torsion_order=torsion_order,
-        index=ui.index,
-        image_invariant_factors=ui.image_invariant_factors,
     )
 
 
 def compute_rp(F: FieldDescriptor, p):
     """Dimension of Hom(O^x, F_p): the unit rank, plus one if p | torsion order."""
     return F.unit_rank + (1 if F.torsion_order % p == 0 else 0)
-
-
-def delta_p_of(F: FieldDescriptor, modulus: IdealHNF, p):
-    return unit_image_in_modulus(F, modulus).delta_p(p)
 
 
 @dataclass(frozen=True)

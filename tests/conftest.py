@@ -3,7 +3,11 @@
 import pytest
 
 from torushecke.classnumber import real_quadratic_field
+from torushecke.field import FieldDescriptor, validate_descriptor
+from torushecke.hecke import compute_tp
 from torushecke.ideals import rational_ideal, unit_ideal
+from torushecke.rayclass import ray_class_group
+from torushecke.units import e_units, unit_image_in_modulus
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +31,24 @@ def F10():
 
 
 @pytest.fixture(scope="session")
+def Fzeta5():
+    """Q(zeta5): no real place, so the torsion unit -zeta5 of order 10 is
+    totally positive and sits inside E((1))."""
+    F = FieldDescriptor(
+        label="Q(zeta5)",
+        min_poly=(1, 1, 1, 1, 1),
+        signature=(0, 2),
+        torsion_order=10,
+        torsion_generator=(0, -1, 0, 0),
+        fundamental_units=((0, 0, -1, -1),),
+        class_number=1,
+        provenance="ingested",
+    )
+    validate_descriptor(F)
+    return F
+
+
+@pytest.fixture(scope="session")
 def one2(F2):
     return unit_ideal(F2)
 
@@ -34,3 +56,19 @@ def one2(F2):
 @pytest.fixture(scope="session")
 def seven2(F2):
     return rational_ideal(7, F2)
+
+
+@pytest.fixture(scope="session")
+def stages():
+    """(G, E, t_p scan) of a configuration, built once each in pipeline order.
+
+    The triple is the argument list of psi_report; eigensystem_report takes
+    G and the scan.
+    """
+
+    def build(F, modulus, p, budget=50):
+        ui = unit_image_in_modulus(F, modulus)
+        E = e_units(ui, p)
+        return ray_class_group(ui), E, compute_tp(E, p, budget)
+
+    return build

@@ -26,6 +26,7 @@ from torushecke.galois import find_generator, is_prime, pth_character
 from torushecke.hecke import (
     CohomologyClass,
     HeckeElement,
+    compute_tp,
     degree_two_pullback,
     hecke_apply,
     hecke_multiply,
@@ -44,7 +45,7 @@ from torushecke.ideals import (
 from torushecke.primes import factor_prime, prime_to_ideal, residue_field, residue_image
 from torushecke.rayclass import narrow_class_number, ray_class_group
 from torushecke.sturm import isolate_real_roots, sign_at_root
-from torushecke.units import compute_rp, e_units
+from torushecke.units import compute_rp, e_units, unit_image_in_modulus
 
 SWEEP_D = (2, 3, 5, 6, 7, 10, 11, 13)
 
@@ -71,8 +72,10 @@ def test_criterion_1_sqrt2_golden_suite():
         assert element_norm((1, 1), F) == -1
         one = unit_ideal(F)
         assert narrow_class_number(F) == 1
-        assert e_units(F, one, 5).index == 4
-        rep = psi_report(F, one, 5)
+        ui = unit_image_in_modulus(F, one)
+        E = e_units(ui, 5)
+        assert E.index == 4
+        rep = psi_report(ray_class_group(ui), E, compute_tp(E, 5))
         assert (rep.delta_p, rep.r_p, rep.t_p) == (0, 1, 1)
         phi = rep.scan.certificate[0]
         assert phi.prime.ell == 31
@@ -87,7 +90,8 @@ def test_criterion_2_sqrt3_suite():
     with criterion(2, "Q(sqrt3) suite", limit=1.0):
         F = real_quadratic_field(3)
         one = unit_ideal(F)
-        G = ray_class_group(F, one)
+        ui = unit_image_in_modulus(F, one)
+        G = ray_class_group(ui)
         assert G.order == 2
         v = factor_prime(11, F)[0]
         c = G.class_of_prime(v)
@@ -105,7 +109,7 @@ def test_criterion_2_sqrt3_suite():
         one_1 = CohomologyClass.indicator(5, 1, 1, 2)
         assert hecke_apply(op, one_0, G) == one_1
         assert hecke_apply(op, one_1, G) == one_0
-        eig = eigensystem_report(F, one, 5)
+        eig = eigensystem_report(G, compute_tp(e_units(ui, 5), 5))
         assert eig.count == 2
         assert eig.matched_both_degrees
 
@@ -113,14 +117,17 @@ def test_criterion_2_sqrt3_suite():
 def test_criterion_3_sqrt2_mod_seven():
     with criterion(3, "Q(sqrt2) modulus norm 49 suite", limit=5.0):
         F = real_quadratic_field(2)
-        seven = rational_ideal(7, F)
-        rep5 = psi_report(F, seven, 5)
+        ui = unit_image_in_modulus(F, rational_ideal(7, F))
+        G = ray_class_group(ui)
+        E5 = e_units(ui, 5)
+        rep5 = psi_report(G, E5, compute_tp(E5, 5))
         assert rep5.h_plus == 12
         assert rep5.index == 12
         assert rep5.t_p == 1
         assert (rep5.dim_domain, rep5.dim_image, rep5.dim_H1) == (12, 12, 12)
         assert rep5.is_isomorphism
-        rep3 = psi_report(F, seven, 3)
+        E3 = e_units(ui, 3)
+        rep3 = psi_report(G, E3, compute_tp(E3, 3))
         assert (rep3.delta_p, rep3.t_p) == (1, 0)
         assert (rep3.dim_domain, rep3.dim_image, rep3.dim_H1) == (0, 0, 12)
         assert rep3.hypothesis is False
@@ -272,7 +279,7 @@ def test_criterion_7_property_suites():
 
         # graded commutativity of operator products, 10^2 cases
         F3 = real_quadratic_field(3)
-        G2 = ray_class_group(F3, unit_ideal(F3))
+        G2 = ray_class_group(unit_image_in_modulus(F3, unit_ideal(F3)))
         rng = random.Random(7002)
         for _ in range(100):
             p = rng.choice((2, 3, 5, 7))
@@ -284,7 +291,7 @@ def test_criterion_7_property_suites():
 
         # the shift orbit of one indicator covers every class exactly once
         F2 = real_quadratic_field(2)
-        G12 = ray_class_group(F2, rational_ideal(7, F2))
+        G12 = ray_class_group(unit_image_in_modulus(F2, rational_ideal(7, F2)))
         start = CohomologyClass.indicator(3, 1, 1, G12.order)
         orbit = {
             hecke_apply(HeckeElement.shift(z, 3, 1), start, G12)
@@ -304,12 +311,11 @@ def test_criterion_7_property_suites():
 
         # functional rows only rotate by a unit when the generator changes
         for F in (F2, F3):
-            one = unit_ideal(F)
-            for v, phi in scan_t1(F, one, 5, budget=2):
+            eunits = e_units(unit_image_in_modulus(F, unit_ideal(F)), 5)
+            for v, phi in scan_t1(eunits, 5, budget=2):
                 kappa = residue_field(v)
                 q1 = kappa.order - 1
                 g = find_generator(kappa)
-                eunits = e_units(F, one, 5)
                 k, picked = 2, 0
                 while picked < 3:
                     while gcd(k, q1) != 1:
@@ -331,10 +337,11 @@ def test_criterion_8_degree_two_vanishing():
         for d in (2, 3):
             F = real_quadratic_field(d)
             one = unit_ideal(F)
+            G = ray_class_group(unit_image_in_modulus(F, one))
             stream = t1_primes(F, one, 5)
-            pool.extend((F, one, next(stream)) for _ in range(15))
-        for F, one, v in rng.sample(pool, 20):
-            block = degree_two_pullback(v, F, one, 5)
+            pool.extend((G, next(stream)) for _ in range(15))
+        for G, v in rng.sample(pool, 20):
+            block = degree_two_pullback(v, G, 5)
             assert block.degree == 2
             assert block.is_zero()
 

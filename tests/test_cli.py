@@ -1,10 +1,11 @@
 """CLI verbs, report shapes, sweep exit codes, and the ideal-list oracle."""
 
 import json
+import sys
 
 import pytest
 
-from torushecke import congruence
+from torushecke import congruence, hecke, rayclass, units
 from torushecke.classnumber import real_quadratic_field
 from torushecke.cli import (
     CSV_HEADER,
@@ -15,6 +16,7 @@ from torushecke.cli import (
     report_to_csv_row,
     run_invariants,
     run_verify,
+    verify_config,
 )
 
 REPORT_KEYS = [
@@ -122,6 +124,55 @@ def test_run_verify_aggregate_shape(F3):
     for row in agg["results"]:
         assert "modulus_hnf" in row
         assert set(row["checks"].values()) == {True}
+
+
+def test_run_verify_records_a_failing_configuration_and_goes_on(Fzeta5, F2):
+    # E((1)) of Q(zeta5) holds 5-torsion, so that configuration raises; the
+    # Q(sqrt2) row after it is kept exactly as a sweep of Q(sqrt2) alone has it
+    code, agg = run_verify(
+        SweepConfig(fields=(Fzeta5, F2), modulus_norm_bound=1, primes=(5,))
+    )
+    assert code == 1
+    assert agg["pass"] is False
+    assert agg["failures"] == []
+    assert agg["configurations"] == 2
+    broken, kept = agg["results"]
+    assert broken["field"] == "Q(zeta5)"
+    assert broken["error"].startswith("TorsionObstruction: ")
+    _, alone = run_verify(SweepConfig(fields=(F2,), modulus_norm_bound=1, primes=(5,)))
+    assert json.dumps(kept) == json.dumps(alone["results"][0])
+
+
+def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
+    stages = {
+        "e_units": units.e_units,
+        "residue_sign_group": congruence.residue_sign_group,
+        "ray_class_group": rayclass.ray_class_group,
+        "compute_tp": hecke.compute_tp,
+    }
+    calls = dict.fromkeys(stages, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # patch every binding site: `from .x import f` copies f into the importer
+    modules = [m for n, m in sys.modules.items() if n.startswith("torushecke")]
+    for name, fn in stages.items():
+        wrapper = counting(name, fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+    run_invariants(F2, seven2, 5)
+    assert calls == dict.fromkeys(stages, 1)
+    calls.update(dict.fromkeys(stages, 0))
+    verify_config(F2, seven2, 5, 50)
+    assert calls == dict.fromkeys(stages, 1)
 
 
 def test_run_verify_skips_noncoprime_moduli(F3):
@@ -266,25 +317,20 @@ def test_cli_spanning_set_shortfall_exit(capsys):
 
 
 def test_cli_cap_residue_flag(capsys):
-    # norm 59 sits outside every other suite's modulus range, so no cached
-    # residue group can slip past the freshly lowered cap
-    before = congruence.RESIDUE_ENUMERATION_CAP
-    try:
-        code = main(
-            [
-                "invariants",
-                "--d",
-                "3",
-                "--prime",
-                "7",
-                "--modulus-norm",
-                "59",
-                "--cap-residue",
-                "5",
-            ]
-        )
-        assert code == 2
-        assert congruence.RESIDUE_ENUMERATION_CAP == 5
-        assert "CapExceeded" in capsys.readouterr().err
-    finally:
-        congruence.RESIDUE_ENUMERATION_CAP = before
+    argv = ["invariants", "--d", "3", "--prime", "7", "--modulus-norm", "59"]
+    assert main(argv + ["--cap-residue", "5"]) == 2
+    assert "CapExceeded" in capsys.readouterr().err
+    # the cap applies to that call only: the next call runs under the default
+    assert main(argv) == 0
+    capsys.readouterr()
+    # and a modulus computed before is refused again under a lower cap
+    assert main(argv + ["--cap-residue", "58"]) == 2
+    assert "CapExceeded" in capsys.readouterr().err
+    assert main(argv + ["--cap-residue", "59"]) == 0
+
+
+def test_cli_cap_residue_must_be_positive():
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", "--d", "3", "--prime", "7", "--cap-residue", bad])
+        assert exc.value.code == 2

@@ -3,7 +3,8 @@
 Every arithmetic path is integer or Fraction work, so the source tree is
 parsed and searched for float literals, float-producing calls, true
 division outside the Fraction-based real-root module, and imports of
-float-returning math helpers.
+float-returning math helpers.  The same parse also keeps out module-level
+mutable state: `global` statements and writes into imported modules.
 """
 
 import ast
@@ -90,3 +91,55 @@ def test_fraction_module_really_avoids_floats():
         if isinstance(n, ast.ImportFrom) and n.module == "fractions"
     ]
     assert froms and froms[0].names[0].name == "Fraction"
+
+
+def _imported_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def _written_attribute_of(target, names):
+    """The imported name whose attribute the target writes into, if any."""
+    node = target
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if not isinstance(node, ast.Attribute):
+        return None
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in names:
+        return node.id
+    return None
+
+
+def test_no_module_level_mutable_state():
+    # a setting stored in a module outlives the call that set it, so every
+    # setting travels as an argument instead
+    for name, tree in _module_sources():
+        imported = _imported_names(tree)
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Global), (name, node.lineno)
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+            ):
+                first = node.args[0] if node.args else None
+                assert not (
+                    isinstance(first, ast.Name) and first.id in imported
+                ), (name, node.lineno)
+                continue
+            else:
+                continue
+            for target in targets:
+                written = _written_attribute_of(target, imported)
+                assert written is None, (name, node.lineno, written)

@@ -26,12 +26,12 @@ from torushecke.hecke import (
 from torushecke.ideals import unit_ideal
 from torushecke.primes import residue_field, residue_image
 from torushecke.rayclass import ray_class_group
-from torushecke.units import e_units
+from torushecke.units import e_units, unit_image_in_modulus
 
 
 def _group2():
     F = real_quadratic_field(3)
-    return ray_class_group(F, unit_ideal(F))
+    return ray_class_group(unit_image_in_modulus(F, unit_ideal(F)))
 
 
 def _scale_element(h, c):
@@ -135,7 +135,7 @@ def test_multiply_matches_composition_of_actions(pair, a, start_degree):
 
 
 def test_degree_zero_orbit_of_indicator_has_size_h_plus(F2, seven2):
-    G = ray_class_group(F2, seven2)
+    G = ray_class_group(unit_image_in_modulus(F2, seven2))
     assert G.order == 12
     start = CohomologyClass.indicator(3, 1, 1, G.order)
     orbit = {hecke_apply(HeckeElement.shift(z, 3, 1), start, G) for z in range(G.order)}
@@ -143,7 +143,7 @@ def test_degree_zero_orbit_of_indicator_has_size_h_plus(F2, seven2):
 
 
 def test_shift_action_is_a_permutation(F2, seven2):
-    G = ray_class_group(F2, seven2)
+    G = ray_class_group(unit_image_in_modulus(F2, seven2))
     rng = random.Random(20260819)
     indicators = [CohomologyClass.indicator(5, 1, a, G.order) for a in range(G.order)]
     for _ in range(10):
@@ -177,7 +177,7 @@ def test_mixed_model_operations_rejected():
 
 def test_t1_stream_golden_order(F2, one2):
     pairs = []
-    for v, phi in scan_t1(F2, one2, 5, budget=4):
+    for v, phi in scan_t1(e_units(unit_image_in_modulus(F2, one2), 5), 5, budget=4):
         pairs.append((v.ell, v.f, phi.values))
     assert pairs == [
         (11, 2, (0,)),
@@ -202,8 +202,8 @@ def test_t1_residue_degree_filter(F2, one2):
 
 
 def test_compute_tp_certificate_golden(F2, one2):
-    scan = compute_tp(F2, one2, 5)
-    assert (scan.t_p, scan.target, scan.shortfall) == (1, 1, False)
+    scan = compute_tp(e_units(unit_image_in_modulus(F2, one2), 5), 5)
+    assert (scan.p, scan.t_p, scan.target, scan.shortfall) == (5, 1, 1, False)
     assert len(scan.certificate) == 1
     phi = scan.certificate[0]
     assert phi.prime.ell == 31
@@ -215,7 +215,7 @@ def test_compute_tp_certificate_golden(F2, one2):
 def test_compute_tp_zero_target_floor(F2, seven2):
     # p = 3: delta_3 = 1 eats the whole rank, target 0, yet vanishing is
     # witnessed on a floor of scanned primes rather than assumed
-    scan = compute_tp(F2, seven2, 3)
+    scan = compute_tp(e_units(unit_image_in_modulus(F2, seven2), 3), 3)
     assert scan.target == 0
     assert scan.t_p == 0
     assert not scan.shortfall
@@ -225,13 +225,13 @@ def test_compute_tp_zero_target_floor(F2, seven2):
 
 
 def test_compute_tp_budget_shortfall(F2, one2):
-    scan = compute_tp(F2, one2, 5, budget=0)
+    scan = compute_tp(e_units(unit_image_in_modulus(F2, one2), 5), 5, budget=0)
     assert scan.shortfall
     assert scan.t_p == 0 and scan.target == 1
 
 
 def test_unit_functional_rejects_wrong_residue_order(F2, one2):
-    E = e_units(F2, one2, 5)
+    E = e_units(unit_image_in_modulus(F2, one2), 5)
     v = next(iter(t1_primes(F2, one2, 3)))
     assert (v.norm - 1) % 5 != 0
     with pytest.raises(ValueError):
@@ -242,8 +242,8 @@ def test_functional_span_invariant_under_generator_choice(F2, F3, one2):
     """Changing the residue generator g to g^k rescales the row by 1/k mod p."""
     cases = [(F2, one2, 5), (F3, unit_ideal(F3), 5)]
     for F, modulus, p in cases:
-        E = e_units(F, modulus, p)
-        for v, phi in scan_t1(F, modulus, p, budget=4):
+        E = e_units(unit_image_in_modulus(F, modulus), p)
+        for v, phi in scan_t1(E, p, budget=4):
             kappa = residue_field(v)
             q1 = kappa.order - 1
             g = find_generator(kappa)
@@ -296,8 +296,8 @@ def test_spanning_set_rank_two_at_even_prime(F2):
     assert det == 1
 
 
-def test_psi_budget_shortfall_raises(F2, one2):
+def test_psi_budget_shortfall_raises(F2, one2, stages):
     from torushecke.hecke import psi_report
 
     with pytest.raises(BudgetShortfall):
-        psi_report(F2, one2, 5, budget=0)
+        psi_report(*stages(F2, one2, 5, budget=0))

@@ -11,7 +11,6 @@ from torushecke.primes import factor_prime, prime_to_ideal
 from torushecke.principal import FOUND, NOT_FOUND, principal_generator
 from torushecke.units import (
     compute_rp,
-    delta_p_of,
     e_units,
     fundamental_unit_real_quadratic,
     pell_fundamental,
@@ -89,7 +88,7 @@ def test_unit_power_product(F2):
 
 
 def test_e_units_trivial_modulus_sqrt2(F2, one2):
-    E = e_units(F2, one2)
+    E = e_units(unit_image_in_modulus(F2, one2))
     assert E.index == 4
     assert E.rank == 1
     assert E.values == ((3, 2),)  # (1+sqrt2)^2, the totally positive generator
@@ -100,14 +99,17 @@ def test_e_units_trivial_modulus_sqrt2(F2, one2):
 
 
 def test_e_units_trivial_modulus_sqrt3(F3):
-    E = e_units(F3, unit_ideal(F3))
+    E = e_units(unit_image_in_modulus(F3, unit_ideal(F3)))
     assert E.index == 2
     assert E.values == ((2, 1),)  # the fundamental unit itself, norm +1
     assert E.image_invariant_factors == (2,)
 
 
 def test_e_units_mod_seven_sqrt2(F2, seven2):
-    E = e_units(F2, seven2)
+    ui = unit_image_in_modulus(F2, seven2)
+    E = e_units(ui)
+    assert E.image is ui
+    assert E.modulus == seven2
     assert E.index == 12
     assert E.values == ((99, 70),)  # (1+sqrt2)^6
     assert E.image_invariant_factors == (2, 6)
@@ -120,31 +122,18 @@ def test_e_units_mod_seven_sqrt2(F2, seven2):
 def test_e_units_torsion_free_for_real_fields(F2, one2):
     # -1 is never totally positive at a real place, so the kernel is free
     for p in (2, 3, 5):
-        E = e_units(F2, one2, p=p)
+        E = e_units(unit_image_in_modulus(F2, one2), p=p)
         assert E.torsion_order == 1
 
 
-def test_e_units_p_torsion_obstruction():
-    # cyclotomic quartic: no real place, so the torsion unit -zeta_5 of
-    # order 10 sits inside E((1)) and obstructs p = 2 and p = 5
-    from torushecke.field import FieldDescriptor, validate_descriptor
-
-    F = FieldDescriptor(
-        label="Q(zeta5)",
-        min_poly=(1, 1, 1, 1, 1),
-        signature=(0, 2),
-        torsion_order=10,
-        torsion_generator=(0, -1, 0, 0),
-        fundamental_units=((0, 0, -1, -1),),
-        class_number=1,
-        provenance="ingested",
-    )
-    validate_descriptor(F)
-    one = unit_ideal(F)
+def test_e_units_p_torsion_obstruction(Fzeta5):
+    # cyclotomic quartic: the torsion unit -zeta_5 of order 10 sits inside
+    # E((1)) and obstructs p = 2 and p = 5
+    ui = unit_image_in_modulus(Fzeta5, unit_ideal(Fzeta5))
     for p in (2, 5):
         with pytest.raises(TorsionObstruction):
-            e_units(F, one, p=p)
-    E = e_units(F, one, p=3)
+            e_units(ui, p=p)
+    E = e_units(ui, p=3)
     assert E.torsion_order == 10
 
 
@@ -152,10 +141,10 @@ def test_rp_and_delta(F2, F5, one2, seven2):
     assert compute_rp(F2, 5) == 1
     assert compute_rp(F2, 3) == 1
     assert compute_rp(F2, 2) == 2  # torsion order 2 adds a coordinate
-    assert delta_p_of(F2, one2, 5) == 0
-    assert delta_p_of(F2, seven2, 3) == 1  # index 12, one factor divisible by 3
-    assert delta_p_of(F2, seven2, 5) == 0
+    assert unit_image_in_modulus(F2, one2).delta_p(5) == 0
     ui = unit_image_in_modulus(F2, seven2)
+    assert ui.delta_p(3) == 1  # index 12, one factor divisible by 3
+    assert ui.delta_p(5) == 0
     assert ui.index == 12
     assert ui.delta_p(2) == 2
 

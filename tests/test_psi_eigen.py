@@ -8,10 +8,12 @@ from torushecke.eigen import eigensystem_report, multiplicative_order
 from torushecke.errors import BudgetShortfall
 from torushecke.hecke import degree_two_pullback, psi_report, t1_primes
 from torushecke.ideals import rational_ideal, unit_ideal
+from torushecke.rayclass import ray_class_group
+from torushecke.units import unit_image_in_modulus
 
 
-def test_psi_sqrt2_trivial_modulus(F2, one2):
-    rep = psi_report(F2, one2, 5)
+def test_psi_sqrt2_trivial_modulus(F2, one2, stages):
+    rep = psi_report(*stages(F2, one2, 5))
     assert rep.h_plus == 1
     assert rep.index == 4
     assert rep.hypothesis is True
@@ -22,8 +24,8 @@ def test_psi_sqrt2_trivial_modulus(F2, one2):
     assert rep.dim_image == rep.h_plus * rep.t_p
 
 
-def test_psi_sqrt2_mod_seven(F2, seven2):
-    rep = psi_report(F2, seven2, 5)
+def test_psi_sqrt2_mod_seven(F2, seven2, stages):
+    rep = psi_report(*stages(F2, seven2, 5))
     assert rep.h_plus == 12
     assert rep.index == 12
     assert rep.hypothesis is True
@@ -32,9 +34,9 @@ def test_psi_sqrt2_mod_seven(F2, seven2):
     assert rep.is_isomorphism
 
 
-def test_psi_obstructed_prime_gives_zero_image(F2, seven2):
+def test_psi_obstructed_prime_gives_zero_image(F2, seven2, stages):
     # p = 3 divides the unit index 12: the pairing collapses
-    rep = psi_report(F2, seven2, 3)
+    rep = psi_report(*stages(F2, seven2, 3))
     assert rep.hypothesis is False
     assert (rep.r_p, rep.delta_p, rep.t_p) == (1, 1, 0)
     assert (rep.dim_H0, rep.dim_H1) == (12, 12)
@@ -43,15 +45,16 @@ def test_psi_obstructed_prime_gives_zero_image(F2, seven2):
     assert rep.t_p == rep.r_p - rep.delta_p
 
 
-def test_psi_rank_identity_across_moduli(F3):
+def test_psi_rank_identity_across_moduli(F3, stages):
     for nm in (1, 11, 13):
-        rep = psi_report(F3, rational_ideal(nm, F3), 5)
+        rep = psi_report(*stages(F3, rational_ideal(nm, F3), 5))
         assert rep.t_p == rep.r_p - rep.delta_p
         assert rep.dim_image == rep.h_plus * rep.t_p
 
 
-def test_eigen_sqrt3_two_characters(F3):
-    rep = eigensystem_report(F3, unit_ideal(F3), 5)
+def test_eigen_sqrt3_two_characters(F3, stages):
+    G, _, scan = stages(F3, unit_ideal(F3), 5)
+    rep = eigensystem_report(G, scan)
     assert rep.count == 2
     assert rep.extension_degree == 1
     assert rep.matched_both_degrees
@@ -59,8 +62,9 @@ def test_eigen_sqrt3_two_characters(F3):
     assert rep.t_p == 1
 
 
-def test_eigen_sqrt2_mod_seven(F2, seven2):
-    rep = eigensystem_report(F2, seven2, 5)
+def test_eigen_sqrt2_mod_seven(F2, seven2, stages):
+    G, _, scan = stages(F2, seven2, 5)
+    rep = eigensystem_report(G, scan)
     # group is Z/2 x Z/6; p'-parts keep all 12 characters, realized over F_25
     assert rep.count == 12
     assert rep.extension_degree == 2
@@ -68,8 +72,9 @@ def test_eigen_sqrt2_mod_seven(F2, seven2):
     assert rep.degree_one_witness
 
 
-def test_eigen_obstructed_prime_no_witness(F2, seven2):
-    rep = eigensystem_report(F2, seven2, 3)
+def test_eigen_obstructed_prime_no_witness(F2, seven2, stages):
+    G, _, scan = stages(F2, seven2, 3)
+    rep = eigensystem_report(G, scan)
     # p-parts drop out: 12 = 4 * 3 leaves 4 prime-to-3 characters
     assert rep.count == 4
     assert rep.t_p == 0
@@ -91,8 +96,9 @@ def test_degree_two_block_vanishes(F2, one2):
     rng = random.Random(8)
     stream = t1_primes(F2, one2, 5)
     pool = [next(stream) for _ in range(12)]
+    G = ray_class_group(unit_image_in_modulus(F2, one2))
     for v in rng.sample(pool, 6):
-        block = degree_two_pullback(v, F2, one2, 5)
+        block = degree_two_pullback(v, G, 5)
         assert block.degree == 2
         assert block.is_zero()
         assert len(block.components) == 1
@@ -129,9 +135,10 @@ def test_carry_cocycle_oracle():
         assert _floor_trivializes(n, 3 * n)
 
 
-def test_budget_shortfall_is_raised_not_reported(F2, one2):
+def test_budget_shortfall_is_raised_not_reported(F2, one2, stages):
+    G, E, scan = stages(F2, one2, 5, budget=0)
     with pytest.raises(BudgetShortfall):
-        psi_report(F2, one2, 5, budget=0)
-    rep = eigensystem_report(F2, one2, 5, budget=0)
+        psi_report(G, E, scan)
+    rep = eigensystem_report(G, scan)
     # eigen census tolerates an empty scan: no witness is claimed
     assert not rep.degree_one_witness

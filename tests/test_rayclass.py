@@ -7,6 +7,7 @@ from torushecke.errors import ValidationError
 from torushecke.ideals import ideal_product, rational_ideal, unit_ideal
 from torushecke.primes import factor_prime, prime_to_ideal
 from torushecke.rayclass import narrow_class_number, ray_class_group
+from torushecke.units import unit_image_in_modulus
 
 
 def test_narrow_class_numbers_golden():
@@ -16,14 +17,14 @@ def test_narrow_class_numbers_golden():
 
 
 def test_trivial_modulus_group_small(F2):
-    G = ray_class_group(F2, unit_ideal(F2))
+    G = ray_class_group(unit_image_in_modulus(F2, unit_ideal(F2)))
     assert G.order == 1
     assert G.invariant_factors() == ()
     assert G.class_of(rational_ideal(7, F2)) == 0
 
 
 def test_group_axioms_and_tables(F3):
-    G = ray_class_group(F3, unit_ideal(F3))
+    G = ray_class_group(unit_image_in_modulus(F3, unit_ideal(F3)))
     assert G.order == 2
     n = G.order
     for i in range(n):
@@ -35,7 +36,7 @@ def test_group_axioms_and_tables(F3):
 
 
 def test_class_of_is_multiplicative(F2, seven2):
-    G = ray_class_group(F2, seven2)
+    G = ray_class_group(unit_image_in_modulus(F2, seven2))
     assert G.order == 12
     vs = [v for ell in (3, 5, 11, 13) for v in factor_prime(ell, F2)]
     ideals = [prime_to_ideal(v, F2) for v in vs]
@@ -46,7 +47,7 @@ def test_class_of_is_multiplicative(F2, seven2):
 
 
 def test_class_of_rejects_noncoprime(F2, seven2):
-    G = ray_class_group(F2, seven2)
+    G = ray_class_group(unit_image_in_modulus(F2, seven2))
     with pytest.raises(ValidationError):
         G.class_of(rational_ideal(7, F2))
     with pytest.raises(ValidationError):
@@ -54,7 +55,7 @@ def test_class_of_rejects_noncoprime(F2, seven2):
 
 
 def test_power_and_order(F2, seven2):
-    G = ray_class_group(F2, seven2)
+    G = ray_class_group(unit_image_in_modulus(F2, seven2))
     for i in range(G.order):
         assert G.power(i, 0) == G.identity
         assert G.power(i, 1) == i
@@ -64,7 +65,7 @@ def test_power_and_order(F2, seven2):
 
 
 def test_snf_coords_faithful(F2, seven2):
-    G = ray_class_group(F2, seven2)
+    G = ray_class_group(unit_image_in_modulus(F2, seven2))
     factors = G.invariant_factors()
     order = 1
     for f in factors:
@@ -85,7 +86,7 @@ def test_snf_coords_faithful(F2, seven2):
 
 def test_representatives_are_distinct_and_coprime(F2, F3, seven2):
     for F, modulus in ((F3, unit_ideal(F3)), (F2, seven2)):
-        G = ray_class_group(F, modulus)
+        G = ray_class_group(unit_image_in_modulus(F, modulus))
         reps = G.representatives()
         assert len(reps) == G.order
         assert [G.class_of(a) for a in reps] == list(range(G.order))
@@ -93,7 +94,7 @@ def test_representatives_are_distinct_and_coprime(F2, F3, seven2):
 
 def test_prime_over_eleven_is_nontrivial_in_sqrt3(F3):
     """The ray class swap pair: Q(sqrt 3) has h+ = 2 and 11 splits."""
-    G = ray_class_group(F3, unit_ideal(F3))
+    G = ray_class_group(unit_image_in_modulus(F3, unit_ideal(F3)))
     v = factor_prime(11, F3)[0]
     assert v.f == 1
     c = G.class_of_prime(v)
@@ -105,12 +106,12 @@ def test_prime_over_eleven_is_nontrivial_in_sqrt3(F3):
 
 def test_ray_group_orders_scale_with_modulus(F2):
     # norm-7 modulus: (O/7)^x has order 48, units (-1, eps) cut it to 12
-    G7 = ray_class_group(F2, rational_ideal(7, F2))
+    G7 = ray_class_group(unit_image_in_modulus(F2, rational_ideal(7, F2)))
     assert G7.order == 12
     assert G7.invariant_factors() == (2, 6)
     # split prime over 7: (O/v)^x x {signs} has order 24 and the unit
     # image <(-1), (1+sqrt2)> only reaches a subgroup of order 12
     v7 = factor_prime(7, F2)[0]
-    G = ray_class_group(F2, prime_to_ideal(v7, F2))
+    G = ray_class_group(unit_image_in_modulus(F2, prime_to_ideal(v7, F2)))
     assert G.order == 2
     assert G.invariant_factors() == (2,)
