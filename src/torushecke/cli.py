@@ -6,8 +6,8 @@ Native fields come from `--d <squarefree>`; external descriptors from
 dict key order, and scan order are all pinned.
 
 Exit codes: 0 all checks pass, 1 a check failed or a computation rejected
-its input, 2 a scan budget or enumeration cap was exhausted before the
-answer was determined.
+its input, 2 a scan budget or enumeration cap was exhausted, or a search
+was inconclusive, before the answer was determined.
 """
 
 import argparse
@@ -18,20 +18,14 @@ from dataclasses import dataclass
 from .classnumber import degree_one_primes_over, real_quadratic_field
 from .congruence import RESIDUE_ENUMERATION_CAP
 from .eigen import eigensystem_report
-from .errors import (
-    BudgetShortfall,
-    CapExceeded,
-    Inconclusive,
-    TorusHeckeError,
-    ValidationError,
-)
+from .errors import RAN_OUT, TorusHeckeError, ValidationError
 from .field import FieldDescriptor, load_descriptor, poly_discriminant
 from .galois import is_prime
 from .hecke import compute_tp, psi_report, scan_t1, spanning_set
 from .ideals import IdealHNF, ideal_product, unit_ideal
 from .primes import balanced_coeffs, factor_prime, prime_to_ideal
 from .rayclass import narrow_class_number, ray_class_group
-from .units import InvariantsRecord, e_units, unit_image_in_modulus
+from .units import e_units, unit_image_in_modulus
 
 DEFAULT_BUDGET = 50
 
@@ -128,46 +122,14 @@ def assemble_report(
     return psi, eig, report
 
 
-def run_invariants(
-    F: FieldDescriptor,
-    modulus: IdealHNF,
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-    cap: int = RESIDUE_ENUMERATION_CAP,
-):
-    """InvariantsRecord plus report dict; asserts the rank identity."""
-    psi, _, report = assemble_report(F, modulus, p, budget, cap)
-    record = InvariantsRecord(
-        p=p,
-        r=psi.r,
-        r_p=psi.r_p,
-        delta_p=psi.delta_p,
-        index=psi.index,
-        t_p=psi.t_p,
-        h_plus=psi.h_plus,
-    )
-    if record.t_p != record.expected_tp():
-        raise ArithmeticError(
-            f"rank identity failed: t_p = {record.t_p}, expected {record.expected_tp()}"
-        )
-    return record, report
-
-
-def verify_config(
-    F: FieldDescriptor,
-    modulus: IdealHNF,
-    p: int,
-    budget: int,
-    cap: int = RESIDUE_ENUMERATION_CAP,
-):
-    """Named pass/fail checks for one configuration."""
-    _, _, report = assemble_report(F, modulus, p, budget, cap)
+def named_checks(report):
+    """(name, passed) for each check of one configuration report, in order."""
+    expected = report["h_plus"] * report["t_p"]
     checks = [
         ("rank-identity", report["t_p"] == report["r_p"] - report["delta_p"]),
         (
             "pairing-dimensions",
-            report["dim_psi_domain"] == report["h_plus"] * report["t_p"]
-            and report["dim_psi_image"] == report["h_plus"] * report["t_p"],
+            report["dim_psi_domain"] == expected and report["dim_psi_image"] == expected,
         ),
     ]
     if report["hypothesis_A"]:
@@ -180,7 +142,37 @@ def verify_config(
         checks.append(
             ("iso-pattern-without-hypothesis", (not report["psi_isomorphism"]) or allowed)
         )
-    return checks, report
+    return checks
+
+
+def run_invariants(
+    F: FieldDescriptor,
+    modulus: IdealHNF,
+    p: int,
+    budget: int = DEFAULT_BUDGET,
+    cap: int = RESIDUE_ENUMERATION_CAP,
+):
+    """Report dict; raises ArithmeticError if the rank identity or the
+    pairing dimensions fail."""
+    _, _, report = assemble_report(F, modulus, p, budget, cap)
+    # rank-identity and pairing-dimensions come first: they hold whatever
+    # the hypothesis
+    for name, ok in named_checks(report)[:2]:
+        if not ok:
+            raise ArithmeticError(name)
+    return report
+
+
+def verify_config(
+    F: FieldDescriptor,
+    modulus: IdealHNF,
+    p: int,
+    budget: int,
+    cap: int = RESIDUE_ENUMERATION_CAP,
+):
+    """Named pass/fail checks for one configuration, and its report."""
+    _, _, report = assemble_report(F, modulus, p, budget, cap)
+    return named_checks(report), report
 
 
 @dataclass(frozen=True)
@@ -191,7 +183,6 @@ class SweepConfig:
     modulus_norm_bound: int
     primes: tuple
     budget: int = DEFAULT_BUDGET
-    fmt: str = "json"
     cap_residue: int = RESIDUE_ENUMERATION_CAP
 
 
@@ -199,12 +190,13 @@ def run_verify(sweep: SweepConfig):
     """(exit code, aggregated report) over every sweep configuration.
 
     A configuration that raises is recorded in its own row under "error"
-    and the sweep goes on: a budget or cap that ran out makes the exit code
-    2, any other error (like a failed check) makes it 1.
+    and the sweep goes on: a budget or cap that ran out, or an inconclusive
+    search, makes the exit code 2, any other error (like a failed check)
+    makes it 1.
     """
     results = []
     failures = []
-    shortfall = False
+    ran_out = False
     errored = False
     for F in sweep.fields:
         pairs = moduli_upto(F, sweep.modulus_norm_bound)
@@ -218,8 +210,8 @@ def run_verify(sweep: SweepConfig):
                         F, modulus, p, sweep.budget, sweep.cap_residue
                     )
                 except (TorusHeckeError, ArithmeticError) as e:
-                    if isinstance(e, (BudgetShortfall, CapExceeded)):
-                        shortfall = True
+                    if isinstance(e, RAN_OUT):
+                        ran_out = True
                     else:
                         errored = True
                     results.append(
@@ -249,7 +241,7 @@ def run_verify(sweep: SweepConfig):
     code = 0
     if failures or errored:
         code = 1
-    if shortfall:
+    if ran_out:
         code = 2
     aggregated = {
         "configurations": len(results),
@@ -361,8 +353,7 @@ def cmd_invariants(args):
                 file=sys.stderr,
             )
             continue
-        _, report = run_invariants(F, modulus, args.prime, args.budget, args.cap_residue)
-        reports.append(report)
+        reports.append(run_invariants(F, modulus, args.prime, args.budget, args.cap_residue))
     _emit(render_reports(reports, args.format), args.out)
     return 0
 
@@ -441,49 +432,53 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(sp, multi_d=False, with_modulus=True):
+    def common(sp, *flags, multi_d=False):
+        """Field choice and --out, plus the named flags the verb reads:
+        "modulus" (--modulus-norm, --cap-residue), "budget", "format"."""
         if multi_d:
             sp.add_argument("--d", type=int, action="append", help="native field d (repeatable)")
         else:
             sp.add_argument("--d", type=int, help="native real quadratic field Q(sqrt d)")
         sp.add_argument("--descriptor", help="path to a field descriptor JSON")
-        if with_modulus:
+        if "modulus" in flags:
             sp.add_argument("--modulus-norm", type=int, default=1, help="modulus ideal norm")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="scan budget")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument(
-            "--cap-residue",
-            type=_positive_int,
-            default=RESIDUE_ENUMERATION_CAP,
-            help="residue enumeration cap for this call (at least 1)",
-        )
+            sp.add_argument(
+                "--cap-residue",
+                type=_positive_int,
+                default=RESIDUE_ENUMERATION_CAP,
+                help="residue enumeration cap for this call (at least 1)",
+            )
+        if "budget" in flags:
+            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="scan budget")
+        if "format" in flags:
+            sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="write the report to this path")
 
     p_field = sub.add_parser("field", help="descriptor inspection")
     field_sub = p_field.add_subparsers(dest="field_verb", required=True)
     p_info = field_sub.add_parser("info", help="validated field summary")
-    common(p_info, with_modulus=False)
+    common(p_info)
     p_info.set_defaults(func=cmd_field_info)
 
     p_inv = sub.add_parser("invariants", help="full report for one modulus norm")
-    common(p_inv)
+    common(p_inv, "modulus", "budget", "format")
     p_inv.add_argument("--prime", type=int, required=True, help="the prime p")
     p_inv.set_defaults(func=cmd_invariants)
 
     p_ver = sub.add_parser("verify", help="theorem sweep over moduli and primes")
-    common(p_ver, multi_d=True)
+    common(p_ver, "modulus", "budget", "format", multi_d=True)
     p_ver.add_argument(
         "--prime", type=int, action="append", help="prime p (repeatable; default 3 5 7)"
     )
     p_ver.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan-primes", help="stream scan primes and functionals")
-    common(p_scan)
+    common(p_scan, "modulus", "budget")
     p_scan.add_argument("--prime", type=int, required=True)
     p_scan.set_defaults(func=cmd_scan_primes)
 
     p_span = sub.add_parser("spanning-set", help="character spanning set for the unit dual")
-    common(p_span, with_modulus=False)
+    common(p_span, "budget")
     p_span.add_argument("--prime", type=int, required=True)
     p_span.set_defaults(func=cmd_spanning_set)
 
@@ -495,11 +490,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetShortfall, CapExceeded) as e:
+    except RAN_OUT as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        return 2
-    except Inconclusive as e:
-        print(f"Inconclusive: {e}", file=sys.stderr)
         return 2
     except TorusHeckeError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

@@ -42,3 +42,7 @@ class BudgetShortfall(TorusHeckeError):
 
 class Inconclusive(TorusHeckeError):
     """A bounded search ended without a decision (general-degree mode)."""
+
+
+# A bounded search that ran out before the answer was determined: exit 2.
+RAN_OUT = (BudgetShortfall, CapExceeded, Inconclusive)

@@ -297,7 +297,8 @@ def psi_report(G: RayClassGroup, E: EUnits, scan: TpScan):
 
     The domain is one copy of the stacked-character span per class; the
     image is spanned by H_phi applied to the class indicators.  Both ranks
-    are computed, compared, and checked against h_plus * t_p.
+    are reported as measured; the verify checks compare them with
+    h_plus * t_p.
     """
     scan.require_target()
     p = scan.p
@@ -315,8 +316,6 @@ def psi_report(G: RayClassGroup, E: EUnits, scan: TpScan):
             image = hecke_apply(op, CohomologyClass.indicator(p, r, a, h), G)
             acc.add(image.flatten())
     dim_image = acc.rank
-    if dim_image != h * scan.t_p:
-        raise ArithmeticError("image rank disagrees with h_plus * t_p")
     return PsiReport(
         p=p,
         h_plus=h,

@@ -194,19 +194,3 @@ def e_units(ui: UnitImage, p=None):
 def compute_rp(F: FieldDescriptor, p):
     """Dimension of Hom(O^x, F_p): the unit rank, plus one if p | torsion order."""
     return F.unit_rank + (1 if F.torsion_order % p == 0 else 0)
-
-
-@dataclass(frozen=True)
-class InvariantsRecord:
-    """The numeric invariants a verification run pins for one (F, modulus, p)."""
-
-    p: int
-    r: int
-    r_p: int
-    delta_p: int
-    index: int
-    t_p: int = None
-    h_plus: int = None
-
-    def expected_tp(self):
-        return self.r_p - self.delta_p

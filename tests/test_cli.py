@@ -2,11 +2,13 @@
 
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
-from torushecke import congruence, hecke, rayclass, units
+from torushecke import cli, congruence, eigen, hecke, rayclass, units
 from torushecke.classnumber import real_quadratic_field
+from torushecke.errors import Inconclusive
 from torushecke.cli import (
     CSV_HEADER,
     SweepConfig,
@@ -96,10 +98,9 @@ def test_moduli_are_duplicate_free(F3):
 
 
 def test_run_invariants_record_and_key_order(F2, seven2):
-    record, report = run_invariants(F2, seven2, 5)
-    assert (record.r, record.r_p, record.delta_p, record.t_p) == (1, 1, 0, 1)
-    assert (record.h_plus, record.index) == (12, 12)
-    assert record.expected_tp() == 1
+    report = run_invariants(F2, seven2, 5)
+    assert [report[k] for k in ("r", "r_p", "delta_p", "t_p")] == [1, 1, 0, 1]
+    assert (report["h_plus"], report["index"]) == (12, 12)
     assert list(report) == REPORT_KEYS
     # 11 is inert here, so the first degree-1 scan prime is 31
     assert report["certificate_primes"] == [31]
@@ -107,7 +108,7 @@ def test_run_invariants_record_and_key_order(F2, seven2):
 
 
 def test_csv_row_golden(F2, one2):
-    _, report = run_invariants(F2, one2, 5)
+    report = run_invariants(F2, one2, 5)
     assert report_to_csv_row(report) == "Q(sqrt2),1,5,1,1,0,1,1,4,true,true,true"
     assert len(CSV_HEADER.split(",")) == len(report_to_csv_row(report).split(","))
 
@@ -149,6 +150,8 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
         "residue_sign_group": congruence.residue_sign_group,
         "ray_class_group": rayclass.ray_class_group,
         "compute_tp": hecke.compute_tp,
+        "psi_report": hecke.psi_report,
+        "eigensystem_report": eigen.eigensystem_report,
     }
     calls = dict.fromkeys(stages, 0)
 
@@ -173,6 +176,47 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
     calls.update(dict.fromkeys(stages, 0))
     verify_config(F2, seven2, 5, 50)
     assert calls == dict.fromkeys(stages, 1)
+
+
+def test_pairing_dimensions_can_fail(monkeypatch, capsys):
+    # a scan whose visited operators are dropped leaves the pairing image at 0
+    def no_operators(E, p, budget):
+        return replace(hecke.compute_tp(E, p, budget), visited=())
+
+    monkeypatch.setattr(cli, "compute_tp", no_operators)
+    assert main(["verify", "--d", "2", "--prime", "5", "--modulus-norm", "1"]) == 1
+    agg = json.loads(capsys.readouterr().out)
+    (row,) = agg["results"]
+    assert row["dim_psi_image"] == 0
+    assert list(row["checks"]) == [
+        "rank-identity",
+        "pairing-dimensions",
+        "iso-under-hypothesis",
+        "eigensystem-matching",
+    ]
+    assert row["checks"]["rank-identity"] is True
+    assert row["checks"]["pairing-dimensions"] is False
+    assert main(["invariants", "--d", "2", "--prime", "5"]) == 1
+    assert "check failed: pairing-dimensions" in capsys.readouterr().err
+
+
+def test_verify_inconclusive_configuration_exits_two(monkeypatch, capsys):
+    checked = cli.verify_config
+
+    def inconclusive_at_norm_two(F, modulus, p, budget, cap):
+        if modulus.norm == 2:
+            raise Inconclusive("principal generator search was inconclusive")
+        return checked(F, modulus, p, budget, cap)
+
+    monkeypatch.setattr(cli, "verify_config", inconclusive_at_norm_two)
+    assert main(["verify", "--d", "2", "--prime", "5", "--modulus-norm", "2"]) == 2
+    agg = json.loads(capsys.readouterr().out)
+    assert [r["modulus_norm"] for r in agg["results"]] == [1, 2]
+    assert "error" not in agg["results"][0]
+    assert agg["results"][1]["error"] == (
+        "Inconclusive: principal generator search was inconclusive"
+    )
+    assert agg["pass"] is False
 
 
 def test_run_verify_skips_noncoprime_moduli(F3):
@@ -327,6 +371,21 @@ def test_cli_cap_residue_flag(capsys):
     assert main(argv + ["--cap-residue", "58"]) == 2
     assert "CapExceeded" in capsys.readouterr().err
     assert main(argv + ["--cap-residue", "59"]) == 0
+
+
+def test_cli_flags_only_on_the_verbs_that_read_them():
+    rejected = [
+        ["field", "info", "--d", "2", "--cap-residue", "5"],
+        ["field", "info", "--d", "2", "--budget", "5"],
+        ["field", "info", "--d", "2", "--format", "csv"],
+        ["spanning-set", "--d", "2", "--prime", "5", "--format", "csv"],
+        ["spanning-set", "--d", "2", "--prime", "5", "--cap-residue", "5"],
+        ["scan-primes", "--d", "2", "--prime", "5", "--format", "csv"],
+    ]
+    for argv in rejected:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_cli_cap_residue_must_be_positive():

@@ -1,15 +1,100 @@
 """End-to-end pairing reports, eigensystem matching, degree-2 vanishing."""
 
 import random
+from dataclasses import replace
+from itertools import product as iter_product
+from math import lcm
 
 import pytest
 
-from torushecke.eigen import eigensystem_report, multiplicative_order
+from torushecke.classnumber import real_quadratic_field
+from torushecke.cli import moduli_upto
+from torushecke.eigen import (
+    EigenReport,
+    _p_prime_part,
+    eigensystem_report,
+    multiplicative_order,
+)
 from torushecke.errors import BudgetShortfall
-from torushecke.hecke import degree_two_pullback, psi_report, t1_primes
+from torushecke.galois import extension_field, find_generator
+from torushecke.hecke import TpScan, degree_two_pullback, psi_report, t1_primes
 from torushecke.ideals import rational_ideal, unit_ideal
-from torushecke.rayclass import ray_class_group
+from torushecke.rayclass import RayClassGroup, ray_class_group
 from torushecke.units import unit_image_in_modulus
+
+
+def fq_eigensystem_report(G: RayClassGroup, scan: TpScan):
+    """The census element by element over F_{p^k}: the reference oracle."""
+    p = scan.p
+    factors = G.invariant_factors()
+    primed = tuple(_p_prime_part(d, p) for d in factors)
+    m = lcm(*primed) if primed else 1
+    k = multiplicative_order(p, m)
+    field = extension_field(p, k)
+    gen = find_generator(field)
+    zeta = gen ** ((field.order - 1) // m)
+    zero = field.zero()
+
+    h = G.order
+    r = G.field.unit_rank
+    coords = [G.snf_coords(i) for i in range(h)]
+    weights = tuple(m // dp for dp in primed)
+    gen_classes = [G.code_index[c] for c in G.presentation.generators]
+
+    phi = scan.certificate[0] if scan.certificate else None
+    lifted_phi = None
+    if phi is not None:
+        lifted_phi = tuple(field.element((val,) + (0,) * (k - 1)) for val in phi.values)
+
+    def character_value(exps, class_idx):
+        e = sum(c * x * w for c, x, w in zip(exps, coords[class_idx], weights)) % m
+        return zeta**e
+
+    count = 0
+    matched = True
+    witness = phi is not None
+    for exps in iter_product(*[range(dp) for dp in primed]):
+        count += 1
+        vec0 = [character_value(exps, b) for b in range(h)]
+        # degree 0: shift by each generator must scale by the character
+        for z in gen_classes:
+            ev = character_value(exps, z)
+            for b in range(h):
+                if vec0[G.multiply(z, b)] != ev * vec0[b]:
+                    matched = False
+        # degree 1: same eigensystem on each exterior coordinate block
+        vec1 = [tuple(vec0[b] if j == 0 else zero for j in range(r)) for b in range(h)]
+        for z in gen_classes:
+            ev = character_value(exps, z)
+            for b in range(h):
+                moved = vec1[G.multiply(z, b)]
+                scaled = tuple(ev * c for c in vec1[b])
+                if moved != scaled:
+                    matched = False
+        if not any(c != zero for c in vec0):
+            matched = False
+        # degree-raising witness: a certificate operator sends the degree-0
+        # eigenvector to phi tensor itself, nonzero whenever phi is
+        if lifted_phi is not None:
+            image = [tuple(vec0[b] * c for c in lifted_phi) for b in range(h)]
+            if not any(any(c != zero for c in row) for row in image):
+                witness = False
+            for z in gen_classes:
+                ev = character_value(exps, z)
+                for b in range(h):
+                    moved = image[G.multiply(z, b)]
+                    scaled = tuple(ev * c for c in image[b])
+                    if moved != scaled:
+                        matched = False
+
+    return EigenReport(
+        p=p,
+        extension_degree=k,
+        count=count,
+        matched_both_degrees=matched,
+        degree_one_witness=witness,
+        t_p=scan.t_p,
+    )
 
 
 def test_psi_sqrt2_trivial_modulus(F2, one2, stages):
@@ -50,6 +135,14 @@ def test_psi_rank_identity_across_moduli(F3, stages):
         rep = psi_report(*stages(F3, rational_ideal(nm, F3), 5))
         assert rep.t_p == rep.r_p - rep.delta_p
         assert rep.dim_image == rep.h_plus * rep.t_p
+
+
+def test_psi_reports_a_short_image_instead_of_raising(F2, seven2, stages):
+    G, E, scan = stages(F2, seven2, 5)
+    rep = psi_report(G, E, replace(scan, visited=()))
+    # no operator applied: the image is measured as zero, not h_plus * t_p
+    assert (rep.dim_domain, rep.dim_image) == (12, 0)
+    assert not rep.is_isomorphism
 
 
 def test_eigen_sqrt3_two_characters(F3, stages):
@@ -142,3 +235,40 @@ def test_budget_shortfall_is_raised_not_reported(F2, one2, stages):
     rep = eigensystem_report(G, scan)
     # eigen census tolerates an empty scan: no witness is claimed
     assert not rep.degree_one_witness
+
+
+SWEEP_D = (2, 3, 5, 6, 7, 10, 11, 13)
+
+
+def test_census_matches_the_fq_oracle_on_the_sweep(stages):
+    # the fields and primes of acceptance criterion 4, moduli of norm <= 10
+    seen = 0
+    for d in SWEEP_D:
+        F = real_quadratic_field(d)
+        pairs = moduli_upto(F, 10)
+        for p in (3, 5, 7):
+            for modulus, norm in pairs:
+                if norm % p == 0:
+                    continue
+                G, _, scan = stages(F, modulus, p)
+                assert eigensystem_report(G, scan) == fq_eigensystem_report(G, scan), (
+                    d,
+                    modulus.hnf,
+                    p,
+                )
+                seen += 1
+    assert seen == 172
+
+
+def test_census_sees_a_corrupted_multiplication_table(F2, seven2, stages):
+    G, _, scan = stages(F2, seven2, 5)
+    z = G.code_index[G.presentation.generators[0]]
+    row = list(G.mult_table[z])
+    row[0], row[1] = row[1], row[0]
+    table = G.mult_table[:z] + (tuple(row),) + G.mult_table[z + 1 :]
+    broken = replace(G, mult_table=table)
+    for census in (eigensystem_report, fq_eigensystem_report):
+        assert census(G, scan).matched_both_degrees
+        rep = census(broken, scan)
+        assert not rep.matched_both_degrees
+        assert rep.count == 12
