@@ -20,7 +20,7 @@ from .congruence import RESIDUE_ENUMERATION_CAP
 from .eigen import eigensystem_report
 from .errors import RAN_OUT, TorusHeckeError, ValidationError
 from .field import FieldDescriptor, load_descriptor, poly_discriminant
-from .galois import is_prime
+from .galois import factor_int, is_prime
 from .hecke import compute_tp, psi_report, scan_t1, spanning_set
 from .ideals import IdealHNF, ideal_product, unit_ideal
 from .primes import balanced_coeffs, factor_prime, prime_to_ideal
@@ -33,31 +33,29 @@ DEFAULT_BUDGET = 50
 # ---------------------------------------------------------------- moduli
 
 
-def prime_ideal_blocks(F: FieldDescriptor, bound):
-    """(ideal, norm) for every prime of Z[theta] with norm <= bound."""
+def prime_ideal_blocks(F: FieldDescriptor, ells, bound):
+    """(ideal, norm) for every prime of Z[theta] over the rational primes
+    ells with norm <= bound."""
     disc = abs(poly_discriminant(F.min_poly))
     out = []
-    ell = 2
-    while ell <= bound:
-        if is_prime(ell):
-            if disc % ell == 0:
-                out.extend((a, ell) for a in degree_one_primes_over(F, ell))
-            else:
-                for v in factor_prime(ell, F):
-                    if v.norm <= bound:
-                        out.append((prime_to_ideal(v, F), v.norm))
-        ell += 1
+    for ell in ells:
+        if disc % ell == 0:
+            out.extend((a, ell) for a in degree_one_primes_over(F, ell))
+        else:
+            for v in factor_prime(ell, F):
+                if v.norm <= bound:
+                    out.append((prime_to_ideal(v, F), v.norm))
     return out
 
 
-def moduli_upto(F: FieldDescriptor, bound):
-    """All integral ideals of norm <= bound, by prime factorization.
+def _products_upto(F: FieldDescriptor, blocks, bound):
+    """Every product of the prime blocks with norm <= bound.
 
     Unique ideal factorization makes every product distinct, so the list is
     complete and duplicate-free; sorted by (norm, HNF entries).
     """
     items = [(unit_ideal(F), 1)]
-    for q, nq in prime_ideal_blocks(F, bound):
+    for q, nq in blocks:
         grown = list(items)
         for a, na in items:
             b, nb = a, na
@@ -70,8 +68,18 @@ def moduli_upto(F: FieldDescriptor, bound):
     return items
 
 
+def moduli_upto(F: FieldDescriptor, bound):
+    """All integral ideals of norm <= bound, by prime factorization."""
+    ells = [ell for ell in range(2, bound + 1) if is_prime(ell)]
+    return _products_upto(F, prime_ideal_blocks(F, ells, bound), bound)
+
+
 def moduli_of_norm(F: FieldDescriptor, norm):
-    return [a for a, n in moduli_upto(F, norm) if n == norm]
+    """All integral ideals of norm exactly norm, from the primes over its
+    rational prime divisors only."""
+    ells = sorted(factor_int(norm)) if norm > 0 else []
+    blocks = prime_ideal_blocks(F, ells, norm)
+    return [a for a, n in _products_upto(F, blocks, norm) if n == norm]
 
 
 # ---------------------------------------------------------------- reports

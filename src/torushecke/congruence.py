@@ -58,6 +58,23 @@ class CongruenceSignGroup:
                 vec.append(0 if s == 1 else 1)
         return tuple(vec)
 
+    def residue_power_product(self, elements, exponents):
+        """prod x_i^(e_i mod residue order) in O/N, by square-and-multiply.
+
+        The elements must be coprime to the modulus.  The dlog table is never
+        read, so the result can check it."""
+        F = self.field
+        reduce = self.modulus.reduce
+        acc = reduce(F.one())
+        for x, e in zip(elements, exponents):
+            e %= self.residue_order
+            base = reduce(x)
+            while e:
+                if e & 1:
+                    acc = reduce(element_mul(acc, base, F))
+                base = reduce(element_mul(base, base, F))
+                e >>= 1
+        return acc
 
 
 def residue_sign_group(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP):

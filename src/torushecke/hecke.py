@@ -129,17 +129,29 @@ class Functional:
     generator_encoding: int
 
 
+def generator_characters(v: PrimeIdeal, p: int, F: FieldDescriptor):
+    """(g, row): the minimal generator g of kappa_v^x and the p-th power
+    characters of unit_generators(F) under it, x -> dlog x^((q-1)/p).
+    chi(zeta) is 0 when p does not divide the torsion order w (zeta^w = 1)."""
+    g = find_generator(residue_field(v))
+    zeta, *eps = unit_generators(F)
+    chi = 0 if F.torsion_order % p else pth_character(residue_image(zeta, v), p, g)
+    return g, (chi,) + tuple(pth_character(residue_image(u, v), p, g) for u in eps)
+
+
 def unit_functional(v: PrimeIdeal, eunits, p: int):
     """Mod-p character of kappa_v^x evaluated on the kernel generators.
 
-    The residue field generator is the deterministic minimal one; its p-th
-    power character sends x to the discrete log of x^((q-1)/p).
+    A character is a homomorphism, so its value on a generator is its
+    exponent vector dotted with the characters of the unit generators.
     """
     kappa = residue_field(v)
     if (kappa.order - 1) % p:
         raise ValueError(f"{v.label()} is not a degree-raising prime for p = {p}")
-    g = find_generator(kappa)
-    values = tuple(pth_character(residue_image(eta, v), p, g) for eta in eunits.values)
+    g, row = generator_characters(v, p, eunits.image.csg.field)
+    values = tuple(
+        sum(e * x for e, x in zip(col, row)) % p for col in eunits.exponent_vectors
+    )
     return Functional(prime=v, values=values, generator_encoding=g.encode())
 
 
@@ -244,11 +256,9 @@ def spanning_set(F: FieldDescriptor, p: int, budget: int = 25):
     modulus.
     """
     modulus = unit_ideal(F)
-    gens = unit_generators(F)
-    if F.torsion_order % p:
-        gens = gens[1:]
+    first = 1 if F.torsion_order % p else 0  # drop zeta unless p | w
     target = compute_rp(F, p)
-    if len(gens) != target:
+    if len(unit_generators(F)) - first != target:
         raise ArithmeticError("generator count disagrees with the rank target")
     acc = FpRankAccumulator(p, target)
     chosen = []
@@ -258,9 +268,7 @@ def spanning_set(F: FieldDescriptor, p: int, budget: int = 25):
         if consumed >= budget or acc.rank >= target:
             break
         consumed += 1
-        kappa = residue_field(v)
-        g = find_generator(kappa)
-        row = tuple(pth_character(residue_image(u, v), p, g) for u in gens)
+        row = generator_characters(v, p, F)[1][first:]
         if acc.add(row):
             chosen.append(v)
             rows.append(row)

@@ -7,6 +7,8 @@ generators, the lattice index gives [O^x : E], and the Smith invariants of
 the quotient give every delta_p at once.  An EUnits carries the UnitImage
 it was cut from, so later stages read the index and delta_p off E without
 rebuilding the image.
+E is only its exponent vectors, checked by sign parity and residue powers;
+no generator is built as a number (unit_power_product is a test oracle).
 """
 
 from dataclasses import dataclass
@@ -15,13 +17,7 @@ from math import isqrt
 from .abgroup import KernelLattice, kernel_of_map
 from .congruence import RESIDUE_ENUMERATION_CAP, CongruenceSignGroup, residue_sign_group
 from .errors import TorsionObstruction
-from .field import (
-    FieldDescriptor,
-    element_mul,
-    element_pow,
-    element_unit_inverse,
-    is_totally_positive,
-)
+from .field import FieldDescriptor, element_mul, element_pow, element_unit_inverse
 from .ideals import IdealHNF
 
 
@@ -123,14 +119,13 @@ class EUnits:
     """Totally positive units congruent to 1 mod the modulus.
 
     exponent_vectors are columns over (zeta, eps_1..eps_r) generating the
-    free part; torsion_order is the order of the torsion subgroup inside
-    (trivial whenever the field has a real place).  image is the UnitImage
-    the group was cut from.
+    free part, and the only representation of E.  torsion_order is the order
+    of the torsion subgroup inside (trivial whenever the field has a real
+    place).  image is the UnitImage the group was cut from.
     """
 
     image: UnitImage
     exponent_vectors: tuple
-    values: tuple
     torsion_order: int
 
     @property
@@ -153,11 +148,13 @@ class EUnits:
 def e_units(ui: UnitImage, p=None):
     """Compute E(modulus) from the unit image, with verified generators.
 
-    When p is given and the subgroup has torsion of order divisible by p the
-    cohomology model downstream is invalid and the computation refuses.
+    A generator's sign bits sum to even at every real place and its residue
+    powers multiply to 1 in O/N.  When p is given and the subgroup has
+    torsion of order divisible by p the cohomology model downstream is
+    invalid and the computation refuses.
     """
-    F = ui.csg.field
-    modulus = ui.csg.modulus
+    csg = ui.csg
+    F = csg.field
     K = ui.kernel.hnf
     w = F.torsion_order
     r = F.unit_rank
@@ -170,25 +167,19 @@ def e_units(ui: UnitImage, p=None):
             f"E(modulus) contains p-torsion (order {torsion_order}, p={p}); "
             "the free cohomology model does not apply"
         )
+    gens = unit_generators(F)
+    sign_bits = [c[csg.n_residue_gens :] for c in ui.map_columns]
+    one = csg.modulus.reduce(F.one())
     vectors = []
-    values = []
     for j in range(1, r + 1):
         col = tuple(K[i][j] for i in range(r + 1))
-        eta = unit_power_product(col, F)
-        if not is_totally_positive(eta, F):
-            raise ArithmeticError(f"generator {eta} is not totally positive")
-        one = F.one()
-        diff = tuple(a - b for a, b in zip(eta, one))
-        if not modulus.contains(diff):
-            raise ArithmeticError(f"generator {eta} is not 1 mod the modulus")
+        for place in range(csg.n_sign_coords):
+            if sum(e * bits[place] for e, bits in zip(col, sign_bits)) % 2:
+                raise ArithmeticError(f"generator {col} is not totally positive")
+        if csg.residue_power_product(gens, col) != one:
+            raise ArithmeticError(f"generator {col} is not 1 mod the modulus")
         vectors.append(col)
-        values.append(eta)
-    return EUnits(
-        image=ui,
-        exponent_vectors=tuple(vectors),
-        values=tuple(values),
-        torsion_order=torsion_order,
-    )
+    return EUnits(image=ui, exponent_vectors=tuple(vectors), torsion_order=torsion_order)
 
 
 def compute_rp(F: FieldDescriptor, p):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from torushecke import cli, congruence, eigen, hecke, rayclass, units
+from torushecke import cli, congruence, eigen, field, hecke, rayclass, units
 from torushecke.classnumber import real_quadratic_field
 from torushecke.errors import Inconclusive
 from torushecke.cli import (
@@ -87,6 +87,14 @@ def test_moduli_of_norm(F2):
     assert moduli_of_norm(F2, 6) == []
 
 
+def test_moduli_of_norm_agrees_with_the_full_enumeration():
+    for d in (2, 3, 5, 10, 13):
+        F = real_quadratic_field(d)
+        upto = moduli_upto(F, 200)
+        for norm in range(1, 201):
+            assert moduli_of_norm(F, norm) == [a for a, n in upto if n == norm], (d, norm)
+
+
 def test_moduli_are_duplicate_free(F3):
     pairs = moduli_upto(F3, 40)
     assert len({a.hnf for a, _ in pairs}) == len(pairs)
@@ -144,6 +152,15 @@ def test_run_verify_records_a_failing_configuration_and_goes_on(Fzeta5, F2):
     assert json.dumps(kept) == json.dumps(alone["results"][0])
 
 
+def _patch_every_binding_site(monkeypatch, fn, wrapper):
+    # `from .x import f` copies f into the importer, so each copy is replaced
+    modules = [m for n, m in sys.modules.items() if n.startswith("torushecke")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, wrapper)
+
+
 def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
     stages = {
         "e_units": units.e_units,
@@ -152,8 +169,11 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
         "compute_tp": hecke.compute_tp,
         "psi_report": hecke.psi_report,
         "eigensystem_report": eigen.eigensystem_report,
+        "unit_power_product": units.unit_power_product,
     }
     calls = dict.fromkeys(stages, 0)
+    # E is its exponent vectors: no explicit unit is ever built
+    expected = dict.fromkeys(stages, 1) | {"unit_power_product": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -162,20 +182,30 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
 
         return wrapper
 
-    # patch every binding site: `from .x import f` copies f into the importer
-    modules = [m for n, m in sys.modules.items() if n.startswith("torushecke")]
     for name, fn in stages.items():
-        wrapper = counting(name, fn)
-        for module in modules:
-            for attr, value in list(vars(module).items()):
-                if value is fn:
-                    monkeypatch.setattr(module, attr, wrapper)
+        _patch_every_binding_site(monkeypatch, fn, counting(name, fn))
 
     run_invariants(F2, seven2, 5)
-    assert calls == dict.fromkeys(stages, 1)
+    assert calls == expected
     calls.update(dict.fromkeys(stages, 0))
     verify_config(F2, seven2, 5, 50)
-    assert calls == dict.fromkeys(stages, 1)
+    assert calls == expected
+
+
+def test_large_index_signs_only_small_elements(monkeypatch, F2):
+    # index 860: the E generator is eps^860, a number of about 550 bits
+    modulus = moduli_of_norm(F2, 431)[0]
+    real_signs = field.real_signs
+    bits = []
+
+    def recording(x, F):
+        bits.append(max(abs(c).bit_length() for c in x))
+        return real_signs(x, F)
+
+    _patch_every_binding_site(monkeypatch, real_signs, recording)
+    report = run_invariants(F2, modulus, 5)
+    assert report["index"] == 860
+    assert bits and max(bits) < 16
 
 
 def test_pairing_dimensions_can_fail(monkeypatch, capsys):

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from torushecke.errors import BudgetShortfall
 from torushecke.exterior import MultiVector
+from torushecke.field import is_totally_positive
 from torushecke.classnumber import real_quadratic_field
+from torushecke.cli import moduli_upto
 from torushecke.galois import find_generator, pth_character
 from torushecke.hecke import (
     ZERO_TARGET_VERIFICATION_FLOOR,
@@ -26,7 +28,7 @@ from torushecke.hecke import (
 from torushecke.ideals import unit_ideal
 from torushecke.primes import residue_field, residue_image
 from torushecke.rayclass import ray_class_group
-from torushecke.units import e_units, unit_image_in_modulus
+from torushecke.units import e_units, unit_image_in_modulus, unit_power_product
 
 
 def _group2():
@@ -254,12 +256,35 @@ def test_functional_span_invariant_under_generator_choice(F2, F3, one2):
                     k += 1
                 alt = g ** k
                 row = tuple(
-                    pth_character(residue_image(eta, v), p, alt) for eta in E.values
+                    pth_character(residue_image(unit_power_product(col, F), v), p, alt)
+                    for col in E.exponent_vectors
                 )
                 kinv = pow(k, -1, p)
                 assert row == tuple(kinv * x % p for x in phi.values)
                 picked += 1
                 k += 1
+
+
+def test_exponent_coordinates_match_explicit_units_on_the_sweep():
+    # the fields and primes of acceptance criterion 4, moduli of norm <= 10
+    seen = 0
+    for d in (2, 3, 5, 6, 7, 10, 11, 13):
+        F = real_quadratic_field(d)
+        for p in (3, 5, 7):
+            for modulus, norm in moduli_upto(F, 10):
+                if norm % p == 0:
+                    continue
+                E = e_units(unit_image_in_modulus(F, modulus), p)
+                etas = [unit_power_product(col, F) for col in E.exponent_vectors]
+                for eta in etas:
+                    assert is_totally_positive(eta, F)
+                    assert modulus.contains(tuple(a - b for a, b in zip(eta, F.one())))
+                for v, phi in scan_t1(E, p, budget=3):
+                    g = find_generator(residue_field(v))
+                    row = tuple(pth_character(residue_image(eta, v), p, g) for eta in etas)
+                    assert phi.values == row, (d, modulus.hnf, p, v.label())
+                seen += 1
+    assert seen == 172
 
 
 def test_spanning_set_goldens():

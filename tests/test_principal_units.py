@@ -1,5 +1,6 @@
 """Principal ideal decisions, fundamental units, congruence unit subgroups."""
 
+from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -91,17 +92,19 @@ def test_e_units_trivial_modulus_sqrt2(F2, one2):
     E = e_units(unit_image_in_modulus(F2, one2))
     assert E.index == 4
     assert E.rank == 1
-    assert E.values == ((3, 2),)  # (1+sqrt2)^2, the totally positive generator
+    values = tuple(unit_power_product(col, F2) for col in E.exponent_vectors)
+    assert values == ((3, 2),)  # (1+sqrt2)^2, the totally positive generator
     assert E.image_invariant_factors == (2, 2)
     assert E.torsion_order == 1
-    eta = E.values[0]
+    eta = values[0]
     assert is_totally_positive(eta, F2)
 
 
 def test_e_units_trivial_modulus_sqrt3(F3):
     E = e_units(unit_image_in_modulus(F3, unit_ideal(F3)))
     assert E.index == 2
-    assert E.values == ((2, 1),)  # the fundamental unit itself, norm +1
+    values = tuple(unit_power_product(col, F3) for col in E.exponent_vectors)
+    assert values == ((2, 1),)  # the fundamental unit itself, norm +1
     assert E.image_invariant_factors == (2,)
 
 
@@ -111,12 +114,33 @@ def test_e_units_mod_seven_sqrt2(F2, seven2):
     assert E.image is ui
     assert E.modulus == seven2
     assert E.index == 12
-    assert E.values == ((99, 70),)  # (1+sqrt2)^6
+    values = tuple(unit_power_product(col, F2) for col in E.exponent_vectors)
+    assert values == ((99, 70),)  # (1+sqrt2)^6
     assert E.image_invariant_factors == (2, 6)
-    eta = E.values[0]
+    eta = values[0]
     assert is_totally_positive(eta, F2)
     diff = tuple(a - b for a, b in zip(eta, F2.one()))
     assert seven2.contains(diff)
+
+
+def _with_kernel_column(ui, col):
+    # the kernel HNF with its free column replaced: a wrong lattice
+    hnf = tuple(row[:1] + (c,) for row, c in zip(ui.kernel.hnf, col))
+    return replace(ui, kernel=replace(ui.kernel, hnf=hnf))
+
+
+def test_e_units_refuses_a_generator_that_is_not_totally_positive(F2, one2):
+    # eps = 1 + sqrt2 itself has norm -1
+    ui = _with_kernel_column(unit_image_in_modulus(F2, one2), (0, 1))
+    with pytest.raises(ArithmeticError, match="not totally positive"):
+        e_units(ui)
+
+
+def test_e_units_refuses_a_generator_that_is_not_one_mod_the_modulus(F2, seven2):
+    # eps^2 = 3 + 2 sqrt2 is totally positive but not 1 mod 7
+    ui = _with_kernel_column(unit_image_in_modulus(F2, seven2), (0, 2))
+    with pytest.raises(ArithmeticError, match="not 1 mod the modulus"):
+        e_units(ui)
 
 
 def test_e_units_torsion_free_for_real_fields(F2, one2):
