@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .intlinalg import (
     IntMatrix,
     hnf_columns,
-    hnf_reduce,
     kernel_basis,
     smith_normal_form,
     snf_diagonal,
@@ -26,7 +25,6 @@ class PolycyclicClosure:
     """Enumerated abelian group with discrete logs over adjoined generators."""
 
     generators: tuple
-    elements: tuple
     dlog: dict
     relative_orders: tuple
     relation_columns: tuple
@@ -87,7 +85,6 @@ def closure_from_stream(candidates, mul, identity):
     relations = [tuple(rel) + (0,) * (k - len(rel)) for rel in relations]
     return PolycyclicClosure(
         generators=tuple(gens),
-        elements=tuple(dlog),
         dlog=dlog,
         relative_orders=tuple(rel_orders),
         relation_columns=tuple(relations),
@@ -173,13 +170,6 @@ class KernelLattice:
     hnf: tuple
     index: int
     image_invariant_factors: tuple
-
-    def basis_columns(self):
-        s = len(self.hnf)
-        return [tuple(self.hnf[i][j] for i in range(s)) for j in range(s)]
-
-    def contains(self, vec):
-        return all(c == 0 for c in hnf_reduce(self.hnf, vec))
 
 
 def kernel_of_map(map_columns, relation_columns, s, k):

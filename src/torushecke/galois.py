@@ -328,30 +328,6 @@ def distinct_roots(coeffs, ell):
 # ---------------------------------------------------------------------------
 # extension fields
 
-# Fixed table of monic irreducible moduli for small extensions; entries are
-# the lexicographically least primitive polynomials, so x generates the
-# multiplicative group.  Little-endian coefficient tuples including the
-# leading 1.
-PRIMITIVE_MODULUS_TABLE = {
-    (2, 1): (0, 1),
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (3, 1): (1, 1),
-    (3, 2): (2, 1, 1),
-    (3, 3): (1, 2, 0, 1),
-    (3, 4): (2, 1, 0, 0, 1),
-    (5, 1): (2, 1),
-    (5, 2): (2, 1, 1),
-    (5, 3): (2, 3, 0, 1),
-    (5, 4): (2, 2, 1, 0, 1),
-    (7, 1): (2, 1),
-    (7, 2): (3, 1, 1),
-    (7, 3): (2, 3, 0, 1),
-    (7, 4): (5, 3, 1, 0, 1),
-}
-
-
 @dataclass(frozen=True)
 class FqField:
     """The field with ell**f elements, as F_ell[t] / (modulus)."""
@@ -385,9 +361,6 @@ class FqField:
 
     def one(self):
         return self.element((1,) + (0,) * (self.f - 1))
-
-    def gen(self):
-        return self.element((0, 1) + (0,) * (self.f - 2)) if self.f >= 2 else self.element((1,))
 
 
 @dataclass(frozen=True)
@@ -436,16 +409,9 @@ class FqElement:
 
 @lru_cache(maxsize=None)
 def extension_field(ell, f):
-    """F_{ell^f} with a deterministic modulus.
-
-    Uses the fixed primitive table for the tabulated range and otherwise the
-    first irreducible monic polynomial in lexicographic coefficient order.
+    """F_{ell^f} modulo the first irreducible monic polynomial of degree f,
+    in lexicographic coefficient order.
     """
-    if f == 1:
-        return FqField(ell, 1, PRIMITIVE_MODULUS_TABLE.get((ell, 1), (_least_primitive_root_neg(ell), 1)))
-    key = (ell, f)
-    if key in PRIMITIVE_MODULUS_TABLE:
-        return FqField(ell, f, PRIMITIVE_MODULUS_TABLE[key])
     counters = [0] * f
     while True:
         cand = tuple(counters) + (1,)
@@ -460,24 +426,6 @@ def extension_field(ell, f):
             i += 1
         else:
             raise ArithmeticError("no irreducible polynomial found")
-
-
-def _least_primitive_root_neg(ell):
-    # modulus (c, 1) represents t + c, i.e. t = -c; pick c with -c primitive
-    g = find_generator_int(ell)
-    return (-g) % ell
-
-
-@lru_cache(maxsize=None)
-def find_generator_int(ell):
-    """Least generator of F_ell^* by ascending scan with verified order."""
-    if ell == 2:
-        return 1
-    fac = factor_int(ell - 1)
-    for g in range(2, ell):
-        if all(pow(g, (ell - 1) // q, ell) != 1 for q in fac):
-            return g
-    raise ArithmeticError("no generator found")
 
 
 @lru_cache(maxsize=None)

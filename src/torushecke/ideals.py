@@ -89,7 +89,8 @@ def ideal_sum(a: IdealHNF, b: IdealHNF):
 
 
 def ideal_is_coprime(a: IdealHNF, b: IdealHNF, F: FieldDescriptor):
-    return ideal_sum(a, b) == unit_ideal(F)
+    # an ideal of Z[theta] has norm 1 exactly when it is the whole ring
+    return ideal_sum(a, b).norm == 1
 
 
 def conjugate_ideal(a: IdealHNF, F: FieldDescriptor):
@@ -127,4 +128,4 @@ def residue_transversal(a: IdealHNF):
 
 
 def element_is_coprime_to(x, a: IdealHNF, F: FieldDescriptor):
-    return ideal_sum(principal_ideal(x, F), a) == unit_ideal(F)
+    return ideal_sum(principal_ideal(x, F), a).norm == 1

@@ -3,8 +3,9 @@
 Sturm chains over Fraction decide, with no floating point anywhere, how many
 distinct real roots a rational polynomial has in an interval.  A real
 algebraic number is carried as an isolating interval of its minimal
-polynomial; the sign of another polynomial at that number is read off after
-shrinking the interval until the second polynomial cannot vanish inside it.
+polynomial; the sign of another polynomial at that number is one
+Sturm-Tarski query: the sign-variation drop of a signed remainder sequence
+across the interval.
 """
 
 from fractions import Fraction
@@ -42,17 +43,27 @@ def _fpoly_rem(a, b):
     return fpoly_trim(a)
 
 
+def _fpoly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return fpoly_trim(out)
+
+
+def _signed_remainder_sequence(a, b):
+    seq = [a]
+    while b:
+        seq.append(b)
+        a, b = b, tuple(-x for x in _fpoly_rem(a, b))
+    return tuple(seq)
+
+
 def sturm_chain(coeffs):
     p = fpoly_trim(coeffs)
     if len(p) <= 1:
         return (p,) if p else ((),)
-    chain = [p, fpoly_deriv(p)]
-    while len(chain[-1]) > 0:
-        r = _fpoly_rem(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(tuple(-x for x in r))
-    return tuple(chain)
+    return _signed_remainder_sequence(p, fpoly_deriv(p))
 
 
 def _sign_changes(chain, x):
@@ -140,18 +151,15 @@ def refine_interval(coeffs, interval, rounds=1):
     return lo, hi
 
 
-def _fpoly_gcd(a, b):
-    a, b = fpoly_trim(a), fpoly_trim(b)
-    while b:
-        a, b = b, _fpoly_rem(a, b)
-    return a
-
-
 def sign_at_root(g_coeffs, f_coeffs, interval):
     """Sign of g at the unique root of f in the isolating interval.
 
-    Exact trichotomy: -1, 0, or 1.  Zero is detected through the gcd, so the
-    refinement loop below never chases a shared root.
+    Exact trichotomy: -1, 0, or 1.  The endpoints must not be roots of f.
+    By the Sturm-Tarski theorem the sign-variation drop across (lo, hi] of
+    the signed remainder sequence of (f, f'g) is the sum of sign g(x) over
+    the roots x of f in (lo, hi]; with one root that is sign g(alpha), and 0
+    exactly when g(alpha) = 0.  Reducing f'g mod f leaves its values at the
+    roots of f, hence the drop, unchanged.
     """
     f = fpoly_trim(f_coeffs)
     g = fpoly_trim(g_coeffs)
@@ -160,20 +168,11 @@ def sign_at_root(g_coeffs, f_coeffs, interval):
         return 0
     if len(g) == 1:
         return 1 if g[0] > 0 else -1
-    f_chain = sturm_chain(f)
-    if count_roots_between(f_chain, lo, hi) != 1:
+    if (
+        fpoly_eval(f, lo) == 0
+        or fpoly_eval(f, hi) == 0
+        or count_roots_between(sturm_chain(f), lo, hi) != 1
+    ):
         raise ValueError("not an isolating interval for f")
-    h = _fpoly_gcd(f, g)
-    if len(h) > 1 and count_roots_between(sturm_chain(h), lo, hi) > 0:
-        return 0
-    g_chain = sturm_chain(g)
-    # no zero of g in (lo, hi] means g keeps one sign there, and the root
-    # of f sits in that half-open interval by the Sturm convention
-    while count_roots_between(g_chain, lo, hi) > 0:
-        mid = _nonroot_split(f, lo, hi)
-        if count_roots_between(f_chain, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    v = fpoly_eval(g, hi)
-    return 1 if v > 0 else -1
+    tarski = _signed_remainder_sequence(f, _fpoly_rem(_fpoly_mul(fpoly_deriv(f), g), f))
+    return _sign_changes(tarski, lo) - _sign_changes(tarski, hi)

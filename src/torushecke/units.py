@@ -21,52 +21,38 @@ from .field import FieldDescriptor, element_mul, element_pow, element_unit_inver
 from .ideals import IdealHNF
 
 
-def pell_fundamental(d):
-    """Least positive (x, y) with x*x - d*y*y = +-1, by continued fractions."""
-    a0 = isqrt(d)
-    if a0 * a0 == d:
-        raise ValueError("d must not be a perfect square")
-    m, den, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    period = 0
-    while True:
-        m = den * a - m
-        den = (d - m * m) // den
-        a = (a0 + m) // den
-        period += 1
-        if a == 2 * a0:
-            break
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-    norm = -1 if period % 2 else 1
-    return h, k, norm
-
-
 def fundamental_unit_real_quadratic(d):
     """Power-basis coordinates of the fundamental unit of Q(sqrt d).
 
-    For d = 1 mod 4 the order has basis 1, (1+sqrt d)/2 and the unit solves
-    X^2 - d*Y^2 = +-4 with minimal Y; otherwise the plain Pell solution is
-    already fundamental for Z[sqrt d].
+    The order is Z[theta] with theta^2 + c1*theta + c0 = 0, the min_poly of
+    real_quadratic_field: theta = (1+sqrt d)/2 for d = 1 mod 4, else sqrt d.
+    A unit eps = x + y*theta > 1 has |x + y*theta'| = 1/eps, so (x - c1*y)/y
+    approximates theta = (-c1 + sqrt D)/2 to within 1/(eps*y^2); that is
+    below 1/(2y^2) because eps > 2y once D > 5 (for D = 5, eps = theta is the
+    first convergent 1/1), so by Legendre every such unit is a convergent
+    p/q of theta with x = p + c1*q, y = q.  Conversely a convergent of norm
+    +-1 has |x + y*theta'| < 1, so it is a power of eps, and the first one is
+    eps itself.
     """
     if d <= 1:
         raise ValueError("d must exceed 1")
-    x, y, _ = pell_fundamental(d)
-    if d % 4 != 1:
-        return (x, y)
-    for Y in range(1, 2 * y + 1):
-        for s in (-4, 4):
-            t = d * Y * Y + s
-            if t < 0:
-                continue
-            X = isqrt(t)
-            if X * X != t:
-                continue
-            if (X - Y) % 2:
-                raise ArithmeticError("parity violation in the +-4 norm equation")
-            return ((X - Y) // 2, Y)
-    raise ArithmeticError("no +-4 solution below the Pell bound")
+    c1, c0 = (-1, -(d - 1) // 4) if d % 4 == 1 else (0, -d)
+    D = c1 * c1 - 4 * c0
+    r = isqrt(D)
+    if r * r == D:
+        raise ValueError("d must not be a perfect square")
+    # complete quotient (P + sqrt D)/Q with Q > 0, and the last two convergents
+    P, Q = -c1, 2
+    p_prev, p, q_prev, q = 0, 1, 1, 0
+    while True:
+        a = (P + r) // Q
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        x, y = p + c1 * q, q
+        if x * x - c1 * x * y + c0 * y * y in (1, -1):
+            return (x, y)
+        P = a * Q - P
+        Q = (D - P * P) // Q
 
 
 def unit_generators(F: FieldDescriptor):

@@ -1,4 +1,4 @@
-"""Finite fields and characters: factorization oracles, generator table, goldens."""
+"""Finite fields and characters: factorization oracles, generators, goldens."""
 
 import random
 
@@ -6,13 +6,10 @@ import pytest
 
 from torushecke.errors import CharacterUndefined, GeneratorError
 from torushecke.galois import (
-    PRIMITIVE_MODULUS_TABLE,
     distinct_roots,
     extension_field,
-    factor_int,
     factor_poly_mod_ell,
     find_generator,
-    find_generator_int,
     is_prime,
     poly_is_irreducible,
     poly_mul,
@@ -53,31 +50,6 @@ def test_factor_goldens():
     assert factor_poly_mod_ell((9, 0, 1), 11) == [((9, 0, 1), 1)]
     # ramified shape mod 2: x^2 with multiplicity 2
     assert factor_poly_mod_ell((0, 0, 1), 2) == [((0, 1), 2)]
-
-
-def test_primitive_modulus_table_rederived():
-    """Each table entry is irreducible and its root generates F_q^x."""
-    for (ell, f), modulus in PRIMITIVE_MODULUS_TABLE.items():
-        assert len(modulus) == f + 1 and modulus[-1] == 1
-        if f == 1:
-            if ell == 2:  # trivial multiplicative group
-                continue
-            # modulus (c, 1): t = -c must generate F_ell^x
-            g = (-modulus[0]) % ell
-            order = 1
-            x = g
-            while x != 1:
-                x = (x * g) % ell
-                order += 1
-            assert order == ell - 1
-            continue
-        assert poly_is_irreducible(modulus, ell)
-        fld = extension_field(ell, f)
-        assert fld.modulus == modulus
-        t = fld.gen()
-        q = fld.order
-        for r in factor_int(q - 1):
-            assert not (t ** ((q - 1) // r) - fld.one()).is_zero()
 
 
 def test_character_goldens_q31_p5():
@@ -127,7 +99,7 @@ def test_find_generator_int_small_primes():
     # classical least primitive roots
     expect = {3: 2, 5: 2, 7: 3, 11: 2, 13: 2, 17: 3, 19: 2, 23: 5, 31: 3}
     for ell, g in expect.items():
-        assert find_generator_int(ell) == g
+        assert find_generator(extension_field(ell, 1)).encode() == g
 
 
 def test_is_prime_against_sieve():

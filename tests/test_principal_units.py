@@ -14,11 +14,27 @@ from torushecke.units import (
     compute_rp,
     e_units,
     fundamental_unit_real_quadratic,
-    pell_fundamental,
     unit_generators,
     unit_image_in_modulus,
     unit_power_product,
 )
+
+
+def _pell_fundamental(d):
+    """Least positive (x, y) with x*x - d*y*y = +-1, from the continued
+    fraction of sqrt d up to the end of its first period."""
+    a0 = isqrt(d)
+    m, den, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    while True:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        if a == 2 * a0:
+            return h, k
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
 
 
 def _brute_pell(d):
@@ -28,19 +44,32 @@ def _brute_pell(d):
         for s in (-1, 1):
             t = d * y * y + s
             if t >= 0 and isqrt(t) ** 2 == t:
-                return isqrt(t), y, s
+                return isqrt(t), y
         y += 1
 
 
-def test_pell_against_brute_force():
-    d = 2
-    while d <= 50:
-        if isqrt(d) ** 2 != d:
-            x, y, norm = pell_fundamental(d)
-            bx, by, bnorm = _brute_pell(d)
-            assert (x, y) == (bx, by)
-            assert x * x - d * y * y == norm == bnorm
-        d += 1
+def _unit_by_norm_equation_search(d):
+    """Reference oracle: the Pell solution for Z[sqrt d]; for d = 1 mod 4,
+    the least Y > 0 with X^2 - d*Y^2 = +-4, searched up to twice the Pell y."""
+    x, y = _pell_fundamental(d)
+    if d % 4 != 1:
+        return (x, y)
+    for Y in range(1, 2 * y + 1):
+        for s in (-4, 4):
+            t = d * Y * Y + s
+            if t >= 0 and isqrt(t) ** 2 == t:
+                return ((isqrt(t) - Y) // 2, Y)
+    raise AssertionError(f"no +-4 solution for d = {d}")
+
+
+def test_fundamental_unit_against_norm_equation_search():
+    squarefree = [d for d in range(2, 200) if all(d % (f * f) for f in range(2, isqrt(d) + 1))]
+    for d in squarefree + [229, 249]:
+        assert fundamental_unit_real_quadratic(d) == _unit_by_norm_equation_search(d), d
+    # the oracle's continued fraction against a plain search over y
+    for d in squarefree:
+        if d <= 50:
+            assert _pell_fundamental(d) == _brute_pell(d), d
 
 
 def test_fundamental_unit_goldens():
@@ -49,6 +78,9 @@ def test_fundamental_unit_goldens():
     assert fundamental_unit_real_quadratic(5) == (0, 1)  # theta = (1+sqrt5)/2
     assert fundamental_unit_real_quadratic(10) == (3, 1)
     assert fundamental_unit_real_quadratic(13) == (1, 1)  # theta = (1+sqrt13)/2
+    assert fundamental_unit_real_quadratic(249) == (8011739, 1084152)
+    with pytest.raises(ValueError):
+        fundamental_unit_real_quadratic(9)
 
 
 def test_fundamental_unit_is_a_unit_of_the_order(F2, F3, F5):

@@ -1,12 +1,21 @@
-"""Root isolation and algebraic signs against a 50-digit mpmath oracle."""
+"""Root isolation and algebraic signs against a 50-digit mpmath oracle.
+
+The bisection routine that sign_at_root used before the Sturm-Tarski query
+is kept here as a second, independent reference.
+"""
 
 import random
 from fractions import Fraction
 
 import mpmath
 
+import pytest
+
 from torushecke.sturm import (
     count_real_roots,
+    count_roots_between,
+    fpoly_eval,
+    fpoly_trim,
     isolate_real_roots,
     refine_interval,
     sign_at_root,
@@ -14,6 +23,63 @@ from torushecke.sturm import (
 )
 
 mpmath.mp.dps = 50
+
+
+def _rem(a, b):
+    a = list(fpoly_trim(a))
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, x in enumerate(b):
+            a[shift + i] -= q * x
+        a = list(fpoly_trim(a))
+    return tuple(a)
+
+
+def _gcd(a, b):
+    a, b = fpoly_trim(a), fpoly_trim(b)
+    while b:
+        a, b = b, _rem(a, b)
+    return a
+
+
+def _bisection_sign(g, f, interval):
+    """Reference oracle: zero through gcd(f, g), else shrink the interval
+    until g has no root in it and evaluate g at its right end."""
+    f, g = fpoly_trim(f), fpoly_trim(g)
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    if not g:
+        return 0
+    if len(g) == 1:
+        return 1 if g[0] > 0 else -1
+    f_chain = sturm_chain(f)
+    h = _gcd(f, g)
+    if len(h) > 1 and count_roots_between(sturm_chain(h), lo, hi) > 0:
+        return 0
+    g_chain = sturm_chain(g)
+    while count_roots_between(g_chain, lo, hi) > 0:
+        mid = next(
+            t
+            for t in (lo + (hi - lo) * Fraction(j, len(f) + 2) for j in range(1, len(f) + 2))
+            if fpoly_eval(f, t) != 0
+        )
+        if count_roots_between(f_chain, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return 1 if fpoly_eval(g, hi) > 0 else -1
+
+
+def _mpf(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 def test_count_real_roots_known_polynomials():
@@ -92,3 +158,57 @@ def test_sign_constant_and_zero_polynomials():
     assert sign_at_root((-7,), (-2, 0, 1), iv) == -1
     assert sign_at_root((), (-2, 0, 1), iv) == 0
     assert sign_at_root((0, 0), (-2, 0, 1), iv) == 0
+
+
+def test_sign_at_root_on_random_polynomials_against_both_oracles():
+    """Sturm-Tarski signs of g at every real root of f, deg f in 3..5.
+
+    A quarter of the cases share a factor h of f with g, so g vanishes at
+    some roots of f and the zero branch is exercised.
+    """
+    rng = random.Random(271828)
+    cases = zeros = 0
+    while cases < 1000:
+        deg = rng.randint(3, 5)
+        if rng.random() < 0.25:
+            h = tuple(rng.randint(-6, 6) for _ in range(2)) + (1,)
+            f = _mul(h, tuple(rng.randint(-6, 6) for _ in range(deg - 2)) + (rng.choice((1, 2, -3)),))
+            g = _mul(h, tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, deg - 2))))
+        else:
+            f = tuple(rng.randint(-9, 9) for _ in range(deg)) + (rng.choice((1, 2, -3)),)
+            g = tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, deg)))
+        if len(sturm_chain(f)[-1]) > 1:
+            continue  # repeated roots: mpmath polyroots converges poorly there
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(f)], maxsteps=200)
+        real = [r.real for r in roots if abs(r.imag) < mpmath.mpf("1e-30")]
+        for lo, hi in isolate_real_roots(f):
+            (alpha,) = [r for r in real if _mpf(lo) < r <= _mpf(hi)]
+            val = mpmath.polyval([mpmath.mpf(c) for c in reversed(g)], alpha)
+            want = 0 if abs(val) < mpmath.mpf("1e-30") else (1 if val > 0 else -1)
+            s = sign_at_root(g, f, (lo, hi))
+            assert s == want == _bisection_sign(g, f, (lo, hi)), (f, g, lo, hi)
+            cases += 1
+            zeros += s == 0
+    assert zeros > 50
+
+
+def test_sign_at_root_on_a_reducible_polynomial():
+    # f = (x - 1)(x^2 - 2)(x - 3)^2 has roots -sqrt2 < 1 < sqrt2 < 3 (3 twice);
+    # its factor g = x - 1 vanishes at exactly one of them
+    f = _mul(_mul((-1, 1), (-2, 0, 1)), (9, -6, 1))
+    g = (-1, 1)
+    ivs = isolate_real_roots(f)
+    assert len(ivs) == 4
+    assert [sign_at_root(g, f, iv) for iv in ivs] == [-1, 0, 1, 1]
+    assert [_bisection_sign(g, f, iv) for iv in ivs] == [-1, 0, 1, 1]
+    # g = (x - 3)(x + 1) vanishes at the double root only
+    assert [sign_at_root((-3, -2, 1), f, iv) for iv in ivs] == [1, -1, -1, 0]
+
+
+def test_sign_at_root_refuses_intervals_that_do_not_isolate():
+    f = (2, -3, 1)  # (x - 1)(x - 2)
+    for interval in ((0, 3), (3, 4), (1, 3), (0, 1), (2, 3)):
+        # two roots, none, and one root with a root of f at an endpoint
+        with pytest.raises(ValueError):
+            sign_at_root((0, 1), f, interval)
+    assert sign_at_root((-1, 1), f, (Fraction(3, 2), 3)) == 1
