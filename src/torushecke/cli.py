@@ -11,6 +11,8 @@ was inconclusive, before the answer was determined.
 """
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
@@ -286,12 +288,15 @@ def report_to_csv_row(report):
         report["psi_isomorphism"],
         report["eigensystems"]["matched_both_degrees"],
     ]
-    return ",".join(render(c) for c in cells)
+    return [render(c) for c in cells]
 
 
 def render_reports(reports, fmt):
     if fmt == "csv":
-        return "\n".join([CSV_HEADER] + [report_to_csv_row(r) for r in reports]) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+        writer.writerows([CSV_HEADER.split(",")] + [report_to_csv_row(r) for r in reports])
+        return out.getvalue()
     return json.dumps(reports if len(reports) != 1 else reports[0], indent=2) + "\n"
 
 

@@ -13,11 +13,12 @@ prime-to-p parts d'_i, the character with exponents c sends a class with
 SNF coordinates x to zeta^(sum c_i x_i m/d'_i), and zeta has order exactly
 m, so two values agree exactly when their exponents agree mod m.  Every
 character is then an eigenvector of every generator shift exactly when
-x(z*b)_i = x(z)_i + x(b)_i (mod d'_i) for each generator z, class b and
-factor i.  The degree-1 vector carries the degree-0 one in its first
-exterior coordinate and zeros elsewhere, and the degree-raising image is
-the degree-0 vector times the constant phi, so both reduce to the same
-check; the image is nonzero exactly when phi is nonzero mod p.
+x(z*b)_i = x(z)_i + x(b)_i (mod d'_i) for each generator z of the exact
+sequence Q -> G -> Cl, class b and factor i.  The degree-1 vector carries
+the degree-0 one in its first exterior coordinate and zeros elsewhere, and
+the degree-raising image is the degree-0 vector times the constant phi, so
+both reduce to the same check; the image is nonzero exactly when phi is
+nonzero mod p.
 """
 
 from dataclasses import dataclass
@@ -64,11 +65,10 @@ def eigensystem_report(G: RayClassGroup, scan: TpScan):
     p = scan.p
     primed = tuple(_p_prime_part(d, p) for d in G.invariant_factors())
     coords = [G.snf_coords(i) for i in range(G.order)]
-    gen_classes = [G.code_index[c] for c in G.presentation.generators]
     # the shift by z scales every character by its value at z
     matched = all(
         (xzb - xz - xb) % dp == 0
-        for z in gen_classes
+        for z in G.generators
         for b in range(G.order)
         for xzb, xz, xb, dp in zip(coords[G.multiply(z, b)], coords[z], coords[b], primed)
     )

@@ -137,9 +137,12 @@ def _real_root_intervals(min_poly):
     """Isolating intervals of the real roots, largest root first.
 
     The first real embedding sends theta to the largest real root; this
-    ordering convention is what fixes the meaning of sign vectors.
+    ordering convention is what fixes the meaning of sign vectors.  The
+    intervals are checked once here, so real_signs needs only tarski_sign.
     """
     roots = sturm.isolate_real_roots(min_poly)
+    for iv in roots:
+        sturm.check_isolating(min_poly, iv)
     return tuple(sorted(roots, key=lambda iv: iv[0], reverse=True))
 
 
@@ -149,7 +152,7 @@ def real_signs(x, F: FieldDescriptor):
         raise ValueError("sign vector of zero is undefined")
     out = []
     for iv in _real_root_intervals(F.min_poly):
-        s = sturm.sign_at_root(x, F.min_poly, iv)
+        s = sturm.tarski_sign(x, F.min_poly, iv)
         if s == 0:
             raise ArithmeticError("element vanishes at a real embedding")
         out.append(s)

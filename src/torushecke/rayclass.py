@@ -1,21 +1,22 @@
-"""Narrow ray class groups with exact coded-class arithmetic.
+"""Narrow ray class groups from the exact sequence Q -> G -> Cl.
 
-A class is stored as a code (k, q): k indexes a fixed wide-class
-representative ideal, q is the image in Q of the principal part, where Q is
-the quotient of the unit-congruence-and-sign group by the global unit
-image.  Multiplication twists by a factor set recording how products of
-wide representatives fall back into the chosen transversal, so the group
-law never touches ideal arithmetic after construction.
+Q is the unit-congruence-and-sign group modulo the global unit image, Cl
+the wide class group.  A class is a code (k, q): k indexes a wide-class
+representative ideal, q is the image in Q of the principal part.  Products
+add the q parts and the factor set shift[k1][k2], which records how
+products of representatives fall back into the transversal, so the group
+law needs no ideal arithmetic after construction and nothing per class.
 """
 
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import islice
 
-from .abgroup import PolycyclicClosure, QuotientStructure, closure_from_stream, quotient_structure
+from .abgroup import QuotientStructure, quotient_structure
 from .classnumber import wide_class_of, wide_class_reps
 from .congruence import CongruenceSignGroup
 from .errors import Inconclusive, ValidationError
 from .field import FieldDescriptor
+from .galois import primes_stream
 from .ideals import IdealHNF, conjugate_ideal, ideal_is_coprime, ideal_product, unit_ideal
 from .primes import factor_prime, prime_to_ideal, _min_poly_disc
 from .principal import FOUND, NOT_FOUND, principal_generator
@@ -24,39 +25,65 @@ from .units import UnitImage, unit_image_in_modulus
 
 @dataclass(frozen=True, eq=False)
 class RayClassGroup:
-    """Narrow ray classes for a fixed field and modulus, fully enumerated."""
+    """Narrow ray classes for a fixed field and modulus.
+
+    Class i is the code (k, q) with i = k*|Q| + q read in mixed radix over
+    Q's factors, the last one fastest, so the identity is 0.  wide_mult and
+    shift are the wide class and the factor set of rep_k1 * rep_k2.
+    """
 
     field: FieldDescriptor
     modulus: IdealHNF
     csg: CongruenceSignGroup
     unit_quotient: QuotientStructure
     wide_reps: tuple
-    codes: tuple
-    code_index: dict
-    mult_table: tuple
-    inverse_table: tuple
-    presentation: PolycyclicClosure
+    wide_mult: tuple
+    shift: tuple
     snf: QuotientStructure
 
     @property
     def order(self):
-        return len(self.codes)
+        return len(self.wide_reps) * self.unit_quotient.order
 
     @property
     def identity(self):
         return 0
 
+    @property
+    def generators(self):
+        """Q's basis vectors, then the lifts (k, 0) of the wide representatives."""
+        n = len(self.unit_quotient.factors)
+        basis = [(0, tuple(int(i == j) for i in range(n))) for j in range(n)]
+        lifts = [(k, (0,) * n) for k in range(1, len(self.wide_reps))]
+        return tuple(self._encode(k, q) for k, q in basis + lifts)
+
+    def _decode(self, i):
+        k, rest = divmod(i, self.unit_quotient.order)
+        q = []
+        for f in reversed(self.unit_quotient.factors):
+            rest, x = divmod(rest, f)
+            q.append(x)
+        return k, tuple(reversed(q))
+
+    def _encode(self, k, q):
+        i = k
+        for x, f in zip(q, self.unit_quotient.factors):
+            i = i * f + x % f
+        return i
+
     def multiply(self, i, j):
-        return self.mult_table[i][j]
+        (k1, q1), (k2, q2) = self._decode(i), self._decode(j)
+        q = tuple(x + y + z for x, y, z in zip(q1, q2, self.shift[k1][k2]))
+        return self._encode(self.wide_mult[k1][k2], q)
 
     def inverse(self, i):
-        return self.inverse_table[i]
+        k, q = self._decode(i)
+        k_inv = self.wide_mult[k].index(0)
+        return self._encode(k_inv, tuple(-x - z for x, z in zip(q, self.shift[k][k_inv])))
 
     def power(self, i, e):
-        if e < 0:
-            return self.power(self.inverse(i), -e)
         acc = 0
-        for _ in range(e):
+        for _ in range(e % self.order):
             acc = self.multiply(acc, i)
         return acc
 
@@ -65,7 +92,7 @@ class RayClassGroup:
 
     def snf_coords(self, i):
         """Coordinates of class i in prod Z/d over the invariant factors."""
-        return self.snf.project(self.presentation.dlog[self.codes[i]])
+        return self.snf.project(_exponents(*self._decode(i), len(self.wide_reps)))
 
     def class_of(self, a: IdealHNF):
         """Index of the class of an integral ideal coprime to the modulus."""
@@ -73,7 +100,7 @@ class RayClassGroup:
             raise ValidationError("ideal is not coprime to the modulus")
         k = wide_class_of(a, self.wide_reps, self.field)
         q = _principal_part(a, k, self.wide_reps, self.csg, self.unit_quotient, self.field)
-        return self.code_index[(k, q)]
+        return self._encode(k, q)
 
     def class_of_prime(self, v):
         return self.class_of(prime_to_ideal(v, self.field))
@@ -88,39 +115,31 @@ class RayClassGroup:
         reps = {0: unit_ideal(F)}
         disc = _min_poly_disc(F.min_poly)
         nm = self.modulus.norm
-        ell = 2
-        seen = 0
-        while len(reps) < self.order and seen < prime_cap:
+        for ell in islice(primes_stream(), prime_cap):
+            if len(reps) == self.order:
+                break
             if disc % ell and nm % ell:
                 for v in factor_prime(ell, F):
                     i = self.class_of_prime(v)
                     if i not in reps:
                         reps[i] = prime_to_ideal(v, F)
-            seen += 1
-            ell = _next_prime(ell)
-        # product fill: classes reachable from found ideals
-        changed = True
-        while len(reps) < self.order and changed:
-            changed = False
-            known = list(reps.items())
-            for i, a in known:
-                for j, b in known:
-                    t = self.multiply(i, j)
-                    if t not in reps:
-                        reps[t] = ideal_product(a, b, F)
-                        changed = True
+        # product fill: the classes the found ideals generate
+        found = list(reps.items())
+        queue = list(found)
+        for i, a in queue:
+            for j, b in found:
+                t = self.multiply(i, j)
+                if t not in reps:
+                    reps[t] = ideal_product(a, b, F)
+                    queue.append((t, reps[t]))
         if len(reps) < self.order:
             raise ArithmeticError("representative sweep did not reach every class")
         return tuple(reps[i] for i in range(self.order))
 
 
-def _next_prime(n):
-    from .galois import is_prime
-
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
+def _exponents(k, q, h):
+    """Code (k, q) in Z^s x Z^(h-1): q, then the indicator of rep_k (none for k = 0)."""
+    return tuple(q) + tuple(int(j == k) for j in range(1, h))
 
 
 def _principal_part(a, k, wide_reps, csg, quotient, F):
@@ -131,22 +150,13 @@ def _principal_part(a, k, wide_reps, csg, quotient, F):
     global unit, which Q quotients away.
     """
     rep = wide_reps[k]
-    if rep == unit_ideal(F):
-        prod = a
-        m = 1
-    else:
-        prod = ideal_product(a, conjugate_ideal(rep, F), F)
-        m = rep.norm
-    res = principal_generator(prod, F)
+    res = principal_generator(ideal_product(a, conjugate_ideal(rep, F), F), F)
     if res.status == NOT_FOUND:
         raise ArithmeticError("wide class index disagreed with principality test")
     if res.status != FOUND:
         raise Inconclusive("principal generator search was inconclusive")
     q_delta = quotient.project(csg.element_vector(res.generator))
-    if m == 1:
-        return q_delta
-    m_elt = (m,) + (0,) * (F.degree - 1)
-    q_m = quotient.project(csg.element_vector(m_elt))
+    q_m = quotient.project(csg.element_vector((rep.norm,) + (0,) * (F.degree - 1)))
     return tuple((x - y) % f for x, y, f in zip(q_delta, q_m, quotient.factors))
 
 
@@ -158,47 +168,27 @@ def ray_class_group(ui: UnitImage):
     quotient = quotient_structure(csg.full_relation_columns, ui.map_columns, csg.width)
     wide_reps = wide_class_reps(F, coprime_to=modulus)
     h = len(wide_reps)
-    q_tuples = list(iter_product(*[range(f) for f in quotient.factors]))
-    codes = tuple((k, qt) for k in range(h) for qt in q_tuples)
-    code_index = {c: i for i, c in enumerate(codes)}
-
-    wide_mult = []
-    shift = []
-    for k1 in range(h):
-        row_m = []
-        row_s = []
-        for k2 in range(h):
-            prod = ideal_product(wide_reps[k1], wide_reps[k2], F)
-            k3 = wide_class_of(prod, wide_reps, F)
-            row_m.append(k3)
-            row_s.append(_principal_part(prod, k3, wide_reps, csg, quotient, F))
-        wide_mult.append(tuple(row_m))
-        shift.append(tuple(row_s))
-
-    def code_mul(c1, c2):
-        k1, q1 = c1
-        k2, q2 = c2
-        k3 = wide_mult[k1][k2]
-        s = shift[k1][k2]
-        q3 = tuple((x + y + z) % f for x, y, z, f in zip(q1, q2, s, quotient.factors))
-        return (k3, q3)
-
-    mult_table = tuple(
-        tuple(code_index[code_mul(codes[i], codes[j])] for j in range(len(codes)))
-        for i in range(len(codes))
+    prods = [[ideal_product(a, b, F) for b in wide_reps] for a in wide_reps]
+    wide_mult = tuple(tuple(wide_class_of(c, wide_reps, F) for c in row) for row in prods)
+    shift = tuple(
+        tuple(_principal_part(c, k, wide_reps, csg, quotient, F) for c, k in zip(row, ks))
+        for row, ks in zip(prods, wide_mult)
     )
-    identity_code = codes[0]
-    if identity_code != (0, tuple(0 for _ in quotient.factors)):
-        raise ArithmeticError("identity code is not first in code order")
-    inverse_table = []
-    for i in range(len(codes)):
-        inv = next(j for j in range(len(codes)) if mult_table[i][j] == 0)
-        inverse_table.append(inv)
-
-    presentation = closure_from_stream(codes, code_mul, identity_code)
-    snf = quotient_structure(presentation.relation_columns, [], presentation.ngens)
-    if snf.order != len(codes):
-        raise ArithmeticError("presentation order disagrees with code count")
+    # relations: Q's factors, and c_k1 + c_k2 = c_(k1 k2) + shift[k1][k2]
+    n = len(quotient.factors)
+    zero = (0,) * n
+    relations = [
+        _exponents(0, tuple(f * (i == j) for i in range(n)), h)
+        for j, f in enumerate(quotient.factors)
+    ]
+    for k1 in range(h):
+        for k2 in range(h):
+            c1, c2 = _exponents(k1, zero, h), _exponents(k2, zero, h)
+            c3 = _exponents(wide_mult[k1][k2], shift[k1][k2], h)
+            relations.append(tuple(x + y - z for x, y, z in zip(c1, c2, c3)))
+    snf = quotient_structure(relations, [], n + h - 1)
+    if snf.order != h * quotient.order:
+        raise ArithmeticError("exact sequence order disagrees with h_wide * |Q|")
 
     return RayClassGroup(
         field=F,
@@ -206,11 +196,8 @@ def ray_class_group(ui: UnitImage):
         csg=csg,
         unit_quotient=quotient,
         wide_reps=wide_reps,
-        codes=codes,
-        code_index=code_index,
-        mult_table=mult_table,
-        inverse_table=tuple(inverse_table),
-        presentation=presentation,
+        wide_mult=wide_mult,
+        shift=shift,
         snf=snf,
     )
 

@@ -151,28 +151,37 @@ def refine_interval(coeffs, interval, rounds=1):
     return lo, hi
 
 
-def sign_at_root(g_coeffs, f_coeffs, interval):
-    """Sign of g at the unique root of f in the isolating interval.
+def check_isolating(f_coeffs, interval):
+    """Refuse (lo, hi] unless it holds exactly one root of f and neither
+    endpoint is a root, as the Sturm-Tarski query requires."""
+    f = fpoly_trim(f_coeffs)
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
+    ends_are_roots = fpoly_eval(f, lo) == 0 or fpoly_eval(f, hi) == 0
+    if ends_are_roots or count_roots_between(sturm_chain(f), lo, hi) != 1:
+        raise ValueError("not an isolating interval for f")
 
-    Exact trichotomy: -1, 0, or 1.  The endpoints must not be roots of f.
+
+def tarski_sign(g_coeffs, f_coeffs, interval):
+    """Sign of g at the root of f in an interval check_isolating accepted.
+
     By the Sturm-Tarski theorem the sign-variation drop across (lo, hi] of
     the signed remainder sequence of (f, f'g) is the sum of sign g(x) over
-    the roots x of f in (lo, hi]; with one root that is sign g(alpha), and 0
-    exactly when g(alpha) = 0.  Reducing f'g mod f leaves its values at the
-    roots of f, hence the drop, unchanged.
+    the roots x of f in (lo, hi]; with one root that is sign g(alpha) in
+    {-1, 0, 1}, 0 exactly when g(alpha) = 0.  Reducing f'g mod f leaves its
+    values at the roots of f, hence the drop, unchanged.
     """
     f = fpoly_trim(f_coeffs)
     g = fpoly_trim(g_coeffs)
-    lo, hi = Fraction(interval[0]), Fraction(interval[1])
     if not g:
         return 0
     if len(g) == 1:
         return 1 if g[0] > 0 else -1
-    if (
-        fpoly_eval(f, lo) == 0
-        or fpoly_eval(f, hi) == 0
-        or count_roots_between(sturm_chain(f), lo, hi) != 1
-    ):
-        raise ValueError("not an isolating interval for f")
+    lo, hi = Fraction(interval[0]), Fraction(interval[1])
     tarski = _signed_remainder_sequence(f, _fpoly_rem(_fpoly_mul(fpoly_deriv(f), g), f))
     return _sign_changes(tarski, lo) - _sign_changes(tarski, hi)
+
+
+def sign_at_root(g_coeffs, f_coeffs, interval):
+    """Sign of g at the unique root of f in a checked isolating interval."""
+    check_isolating(f_coeffs, interval)
+    return tarski_sign(g_coeffs, f_coeffs, interval)

@@ -1,5 +1,7 @@
 """CLI verbs, report shapes, sweep exit codes, and the ideal-list oracle."""
 
+import csv
+import io
 import json
 import sys
 from dataclasses import replace
@@ -15,6 +17,7 @@ from torushecke.cli import (
     main,
     moduli_of_norm,
     moduli_upto,
+    render_reports,
     report_to_csv_row,
     run_invariants,
     run_verify,
@@ -117,8 +120,17 @@ def test_run_invariants_record_and_key_order(F2, seven2):
 
 def test_csv_row_golden(F2, one2):
     report = run_invariants(F2, one2, 5)
-    assert report_to_csv_row(report) == "Q(sqrt2),1,5,1,1,0,1,1,4,true,true,true"
-    assert len(CSV_HEADER.split(",")) == len(report_to_csv_row(report).split(","))
+    header, row = render_reports([report], "csv").splitlines()
+    assert (header, row) == (CSV_HEADER, "Q(sqrt2),1,5,1,1,0,1,1,4,true,true,true")
+    assert len(CSV_HEADER.split(",")) == len(report_to_csv_row(report))
+
+
+def test_csv_quotes_a_descriptor_label_with_separators(F2, one2):
+    label = 'Q(sqrt2), "ingested"\nsecond line'
+    report = run_invariants(replace(F2, label=label), one2, 5)
+    header, row = csv.reader(io.StringIO(render_reports([report], "csv")))
+    assert header == CSV_HEADER.split(",")
+    assert len(row) == 12 and row[0] == label
 
 
 def test_run_verify_aggregate_shape(F3):

@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 
 from torushecke.classnumber import real_quadratic_field
-from torushecke.cli import moduli_upto
+from torushecke.cli import moduli_of_norm, moduli_upto
 from torushecke.eigen import (
     EigenReport,
     _p_prime_part,
@@ -16,8 +16,18 @@ from torushecke.eigen import (
     multiplicative_order,
 )
 from torushecke.errors import BudgetShortfall
+from torushecke.exterior import MultiVector
+from torushecke.fplinalg import FpRankAccumulator
 from torushecke.galois import extension_field, find_generator
-from torushecke.hecke import TpScan, degree_two_pullback, psi_report, t1_primes
+from torushecke.hecke import (
+    CohomologyClass,
+    HeckeElement,
+    TpScan,
+    degree_two_pullback,
+    hecke_apply,
+    psi_report,
+    t1_primes,
+)
 from torushecke.ideals import rational_ideal, unit_ideal
 from torushecke.rayclass import RayClassGroup, ray_class_group
 from torushecke.units import unit_image_in_modulus
@@ -39,7 +49,7 @@ def fq_eigensystem_report(G: RayClassGroup, scan: TpScan):
     r = G.field.unit_rank
     coords = [G.snf_coords(i) for i in range(h)]
     weights = tuple(m // dp for dp in primed)
-    gen_classes = [G.code_index[c] for c in G.presentation.generators]
+    gen_classes = G.generators
 
     phi = scan.certificate[0] if scan.certificate else None
     lifted_phi = None
@@ -262,13 +272,71 @@ def test_census_matches_the_fq_oracle_on_the_sweep(stages):
 
 def test_census_sees_a_corrupted_multiplication_table(F2, seven2, stages):
     G, _, scan = stages(F2, seven2, 5)
-    z = G.code_index[G.presentation.generators[0]]
-    row = list(G.mult_table[z])
-    row[0], row[1] = row[1], row[0]
-    table = G.mult_table[:z] + (tuple(row),) + G.mult_table[z + 1 :]
-    broken = replace(G, mult_table=table)
+    # h_wide is 1, so the law's one cocycle entry is the shift of the identity
+    # lift; a nonzero shift moves every product off the SNF homomorphism
+    assert G.shift == ((tuple(0 for _ in G.unit_quotient.factors),),)
+    broken = replace(G, shift=(((1,) + G.shift[0][0][1:],),))
     for census in (eigensystem_report, fq_eigensystem_report):
         assert census(G, scan).matched_both_degrees
         rep = census(broken, scan)
         assert not rep.matched_both_degrees
         assert rep.count == 12
+
+
+def full_width_dim_image(G: RayClassGroup, scan: TpScan):
+    """The pairing image measured on whole cohomology classes: the reference
+    oracle.  Every scanned operator is applied to every class indicator and
+    the flattened images are stacked into one h * r accumulator."""
+    p = scan.p
+    r = G.field.unit_rank
+    h = G.order
+    acc = FpRankAccumulator(p, h * r)
+    for phi in scan.visited:
+        op = HeckeElement(p, r, 1, ((G.identity, MultiVector.from_vector(p, r, phi.values)),))
+        for a in range(h):
+            acc.add(hecke_apply(op, CohomologyClass.indicator(p, r, a, h), G).flatten())
+    return acc.rank
+
+
+def test_block_ranks_match_the_full_width_oracle(F2, stages):
+    seen = 0
+    for d in SWEEP_D:
+        F = real_quadratic_field(d)
+        pairs = moduli_upto(F, 10)
+        for p in (3, 5, 7):
+            for modulus, norm in pairs:
+                if norm % p == 0:
+                    continue
+                G, E, scan = stages(F, modulus, p)
+                want = full_width_dim_image(G, scan)
+                assert psi_report(G, E, scan).dim_image == want, (d, modulus.hnf, p)
+                seen += 1
+    assert seen == 172
+    # the large-hplus configuration: Q(sqrt2), p = 5, the one modulus of norm 1152
+    (modulus,) = moduli_of_norm(F2, 1152)
+    G, E, scan = stages(F2, modulus, 5)
+    assert G.order == 128
+    assert psi_report(G, E, scan).dim_image == full_width_dim_image(G, scan) == 128
+
+
+def test_pairing_and_census_make_linearly_many_products(F2, stages, monkeypatch):
+    # at most one product per (class, scanned operator or generator), plus
+    # one row of slack; the class-by-class operator application made h^2 * t
+    (modulus,) = moduli_of_norm(F2, 1152)
+    G, E, scan = stages(F2, modulus, 5)
+    calls = []
+
+    def counted(method):
+        def wrapper(*args):
+            calls.append(method.__name__)
+            return method(*args)
+
+        return wrapper
+
+    for name in ("multiply", "inverse"):
+        monkeypatch.setattr(RayClassGroup, name, counted(getattr(RayClassGroup, name)))
+    psi = psi_report(G, E, scan)
+    census = eigensystem_report(G, scan)
+    assert psi.is_isomorphism and census.matched_both_degrees
+    n_gens = len(G.unit_quotient.factors) + len(G.wide_reps) - 1
+    assert 0 < len(calls) <= G.order * (len(scan.visited) + n_gens + 1)

@@ -1,12 +1,16 @@
 """Ray class group law, codes, and representative sweeps."""
 
+from itertools import product as iter_product
+
 import pytest
 
-from torushecke.classnumber import real_quadratic_field
+from torushecke.abgroup import closure_from_stream, quotient_structure
+from torushecke.classnumber import real_quadratic_field, wide_class_of, wide_class_reps
+from torushecke.cli import moduli_upto
 from torushecke.errors import ValidationError
 from torushecke.ideals import ideal_product, rational_ideal, unit_ideal
 from torushecke.primes import factor_prime, prime_to_ideal
-from torushecke.rayclass import narrow_class_number, ray_class_group
+from torushecke.rayclass import _principal_part, narrow_class_number, ray_class_group
 from torushecke.units import unit_image_in_modulus
 
 
@@ -115,3 +119,68 @@ def test_ray_group_orders_scale_with_modulus(F2):
     G = ray_class_group(unit_image_in_modulus(F2, prime_to_ideal(v7, F2)))
     assert G.order == 2
     assert G.invariant_factors() == (2,)
+
+
+def cayley_oracle(ui):
+    """The group built by enumerating every code (k, q): the reference oracle.
+
+    Returns the Cayley table, the inverses found by search, the order of a
+    polycyclic closure over all codes and that closure's invariant factors.
+    The factor set is recomputed here from ideal arithmetic.
+    """
+    csg = ui.csg
+    F = csg.field
+    quotient = quotient_structure(csg.full_relation_columns, ui.map_columns, csg.width)
+    wide_reps = wide_class_reps(F, coprime_to=csg.modulus)
+    h = len(wide_reps)
+    q_box = list(iter_product(*[range(f) for f in quotient.factors]))
+    codes = [(k, q) for k in range(h) for q in q_box]
+    index = {c: i for i, c in enumerate(codes)}
+    law = {}
+    for k1 in range(h):
+        for k2 in range(h):
+            prod = ideal_product(wide_reps[k1], wide_reps[k2], F)
+            k3 = wide_class_of(prod, wide_reps, F)
+            law[k1, k2] = (k3, _principal_part(prod, k3, wide_reps, csg, quotient, F))
+
+    def code_mul(c1, c2):
+        (k1, q1), (k2, q2) = c1, c2
+        k3, s = law[k1, k2]
+        return k3, tuple((x + y + z) % f for x, y, z, f in zip(q1, q2, s, quotient.factors))
+
+    table = [[index[code_mul(a, b)] for b in codes] for a in codes]
+    inverse = [row.index(0) for row in table]
+    closure = closure_from_stream(codes, code_mul, codes[0])
+    snf = quotient_structure(closure.relation_columns, [], closure.ngens)
+    return table, inverse, closure.order, snf.factors
+
+
+def test_exact_sequence_law_matches_the_cayley_oracle():
+    moduli = [(d, 12) for d in (2, 3, 5, 6, 7, 10, 11, 13, 15)] + [(229, 5)]
+    seen = 0
+    cocycles = set()
+    for d, bound in moduli:
+        F = real_quadratic_field(d)
+        for modulus, _ in moduli_upto(F, bound):
+            ui = unit_image_in_modulus(F, modulus)
+            G = ray_class_group(ui)
+            table, inverse, order, factors = cayley_oracle(ui)
+            assert G.order == len(table) == order, (d, modulus.hnf)
+            assert G.invariant_factors() == factors, (d, modulus.hnf)
+            assert [[G.multiply(i, j) for j in range(order)] for i in range(order)] == table
+            assert [G.inverse(i) for i in range(order)] == inverse
+            # the exact sequence's SNF coordinates are a faithful homomorphism
+            coords = [G.snf_coords(i) for i in range(order)]
+            assert len(set(coords)) == order
+            for i in range(order):
+                for j in range(order):
+                    want = tuple((x + y) % f for x, y, f in zip(coords[i], coords[j], factors))
+                    assert coords[table[i][j]] == want
+            if any(any(s) for row in G.shift for s in row):
+                cocycles.add(d)
+            seen += 1
+    assert seen == 105
+    assert narrow_class_number(real_quadratic_field(15)) == 4
+    # Q(sqrt229) has wide class number 3 and a factor set that is not zero
+    assert len(wide_class_reps(real_quadratic_field(229))) == 3
+    assert 229 in cocycles
