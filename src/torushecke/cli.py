@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .classnumber import degree_one_primes_over, real_quadratic_field
+from .classnumber import real_quadratic_field
 from .congruence import RESIDUE_ENUMERATION_CAP
 from .eigen import eigensystem_report
 from .errors import RAN_OUT, TorusHeckeError, ValidationError
@@ -25,7 +25,7 @@ from .field import FieldDescriptor, load_descriptor, poly_discriminant
 from .galois import factor_int, is_prime
 from .hecke import compute_tp, psi_report, scan_t1, spanning_set
 from .ideals import IdealHNF, ideal_product, unit_ideal
-from .primes import balanced_coeffs, factor_prime, prime_to_ideal
+from .primes import balanced_coeffs, prime_ideal_blocks
 from .rayclass import narrow_class_number, ray_class_group
 from .units import e_units, unit_image_in_modulus
 
@@ -33,21 +33,6 @@ DEFAULT_BUDGET = 50
 
 
 # ---------------------------------------------------------------- moduli
-
-
-def prime_ideal_blocks(F: FieldDescriptor, ells, bound):
-    """(ideal, norm) for every prime of Z[theta] over the rational primes
-    ells with norm <= bound."""
-    disc = abs(poly_discriminant(F.min_poly))
-    out = []
-    for ell in ells:
-        if disc % ell == 0:
-            out.extend((a, ell) for a in degree_one_primes_over(F, ell))
-        else:
-            for v in factor_prime(ell, F):
-                if v.norm <= bound:
-                    out.append((prime_to_ideal(v, F), v.norm))
-    return out
 
 
 def _products_upto(F: FieldDescriptor, blocks, bound):

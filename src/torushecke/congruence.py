@@ -1,20 +1,34 @@
 """The finite ambient group (O/N)^x cross {+-1}^r1 and discrete logs in it.
 
-Residue units are enumerated from the HNF transversal box of the modulus and
-closed into a polycyclic presentation, so any coprime element of the order
-gets an exponent vector: residue coordinates followed by one mod-2 sign
-coordinate per real place.  Unit images, ray class codes, and index
-computations all reduce to lattice work on these vectors.
+O/N is the product of its local rings O/q over the primary components q of
+N, one for each prime P containing N (CRT).  Each (O/q)^x is closed into a
+polycyclic presentation from the residues of the HNF box of q that lie
+outside P, so the work is the sum of the component norms, not the norm of
+N.  Any element coprime to the order then gets an exponent vector: the
+local coordinates of x mod q for each component in turn, followed by one
+mod-2 sign coordinate per real place.  The relation lattice is block
+diagonal over the components and the sign block.  Unit images, ray class
+codes, and index computations all reduce to lattice work on these vectors.
 """
 
 from dataclasses import dataclass
 
-from .abgroup import closure_from_stream
+from .abgroup import PolycyclicClosure, closure_from_stream
 from .errors import CapExceeded
 from .field import FieldDescriptor, element_mul, real_signs
-from .ideals import IdealHNF, element_is_coprime_to, residue_transversal
+from .galois import factor_int
+from .ideals import IdealHNF, ideal_product, ideal_sum, rational_ideal, residue_transversal
+from .primes import prime_ideals_over
 
 RESIDUE_ENUMERATION_CAP = 10**5
+
+
+@dataclass(frozen=True)
+class ResidueComponent:
+    """(O/q)^x for one primary component q of the modulus."""
+
+    primary: IdealHNF
+    closure: PolycyclicClosure
 
 
 @dataclass(frozen=True)
@@ -23,13 +37,12 @@ class CongruenceSignGroup:
 
     modulus: IdealHNF
     field: FieldDescriptor
-    residue_generators: tuple
-    residue_dlog: dict
+    components: tuple
     full_relation_columns: tuple
 
     @property
     def n_residue_gens(self):
-        return len(self.residue_generators)
+        return sum(c.closure.ngens for c in self.components)
 
     @property
     def n_sign_coords(self):
@@ -41,18 +54,23 @@ class CongruenceSignGroup:
 
     @property
     def residue_order(self):
-        return len(self.residue_dlog)
+        out = 1
+        for c in self.components:
+            out *= c.closure.order
+        return out
 
     @property
     def order(self):
         return self.residue_order * 2 ** self.n_sign_coords
 
     def element_vector(self, x):
-        """Exponent vector of a coprime element: residue dlog then sign bits."""
-        res = self.modulus.reduce(x)
-        if res not in self.residue_dlog:
-            raise ValueError(f"element {x} is not coprime to the modulus")
-        vec = list(self.residue_dlog[res])
+        """Exponent vector of a coprime element: local dlogs then sign bits."""
+        vec = []
+        for c in self.components:
+            local = c.closure.dlog.get(c.primary.reduce(x))
+            if local is None:
+                raise ValueError(f"element {x} is not coprime to the modulus")
+            vec.extend(local)
         if self.n_sign_coords:
             for s in real_signs(x, self.field):
                 vec.append(0 if s == 1 else 1)
@@ -61,8 +79,8 @@ class CongruenceSignGroup:
     def residue_power_product(self, elements, exponents):
         """prod x_i^(e_i mod residue order) in O/N, by square-and-multiply.
 
-        The elements must be coprime to the modulus.  The dlog table is never
-        read, so the result can check it."""
+        The elements must be coprime to the modulus.  No discrete log is
+        read, so the result can check them."""
         F = self.field
         reduce = self.modulus.reduce
         acc = reduce(F.one())
@@ -77,34 +95,88 @@ class CongruenceSignGroup:
         return acc
 
 
-def residue_sign_group(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP):
-    """Build the ambient group for a modulus; norms above the cap refuse."""
+def primary_components(F: FieldDescriptor, modulus: IdealHNF):
+    """(P, q) for each prime P containing the modulus, q its P-primary part.
+
+    For ell^v exactly dividing N(m), m + (ell^v) is the product of the
+    components over ell; when several primes over ell contain m it splits
+    further into q = m + P^k, the first k at which it stops changing (then
+    P^k vanishes in the local ring O/q, by Nakayama).  The component norms
+    must multiply to N(m).
+    """
     nm = modulus.norm
-    if nm > cap:
-        raise CapExceeded(f"modulus norm {nm} exceeds enumeration cap")
-    identity = modulus.reduce(F.one())
+    if nm == 1:
+        return []
+    ells = factor_int(nm)
+    out = []
+    for ell, v in sorted(ells.items()):
+        part = modulus if len(ells) == 1 else ideal_sum(modulus, rational_ideal(ell**v, F))
+        cols = part.basis_columns()
+        over = [P for P, _ in prime_ideals_over(F, ell) if all(map(P.contains, cols))]
+        if len(over) == 1:
+            out.append((over[0], part))
+            continue
+        for P in over:
+            q = P
+            while True:
+                nxt = ideal_sum(part, ideal_product(P, q, F))
+                if nxt == q:
+                    break
+                q = nxt
+            out.append((P, q))
+    total = 1
+    for _, q in out:
+        total *= q.norm
+    if total != nm:
+        raise ArithmeticError(f"primary components have norm {total}, not N(m) = {nm}")
+    return out
+
+
+def _local_units(F: FieldDescriptor, P: IdealHNF, q: IdealHNF):
+    """Polycyclic closure of (O/q)^x: the box residues of q outside P.
+
+    O/q is local with residue field O/P, so exactly N(q) - N(q)/N(P) of its
+    residues are units; the closure must reach that order."""
+    identity = q.reduce(F.one())
 
     def mul(x, y):
-        return modulus.reduce(element_mul(x, y, F))
+        return q.reduce(element_mul(x, y, F))
 
-    if nm == 1:
-        candidates = []
-    else:
-        candidates = [
-            x
-            for x in residue_transversal(modulus)
-            if any(x) and element_is_coprime_to(x, modulus, F)
-        ]
-    closure = closure_from_stream(candidates, mul, identity)
+    units = (x for x in residue_transversal(q) if any(P.reduce(x)))
+    closure = closure_from_stream(units, mul, identity)
+    if closure.order != q.norm - q.norm // P.norm:
+        raise ArithmeticError(f"(O/q)^x closed to order {closure.order} at N(q) = {q.norm}")
+    return closure
+
+
+def residue_sign_group(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP):
+    """Build the ambient group for a modulus.
+
+    cap bounds the norm of each primary component, the largest box that is
+    enumerated; a larger one refuses before any enumeration."""
+    pairs = primary_components(F, modulus)
+    for _, q in pairs:
+        if q.norm > cap:
+            raise CapExceeded(
+                f"primary component of norm {q.norm} exceeds enumeration cap {cap}"
+            )
+    components = tuple(
+        ResidueComponent(primary=q, closure=_local_units(F, P, q)) for P, q in pairs
+    )
     r1 = F.signature[0]
-    k = closure.ngens
-    cols = [rel + (0,) * r1 for rel in closure.relation_columns]
+    width = sum(c.closure.ngens for c in components) + r1
+    cols = []
+    offset = 0
+    for c in components:
+        k = c.closure.ngens
+        for rel in c.closure.relation_columns:
+            cols.append((0,) * offset + rel + (0,) * (width - offset - k))
+        offset += k
     for j in range(r1):
-        cols.append((0,) * (k + j) + (2,) + (0,) * (r1 - j - 1))
+        cols.append((0,) * (offset + j) + (2,) + (0,) * (r1 - j - 1))
     return CongruenceSignGroup(
         modulus=modulus,
         field=F,
-        residue_generators=closure.generators,
-        residue_dlog=closure.dlog,
+        components=components,
         full_relation_columns=tuple(cols),
     )

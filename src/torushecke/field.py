@@ -2,8 +2,8 @@
 
 Elements are integer coordinate tuples over the power basis 1, theta, ...,
 theta^(n-1).  Norms come from determinants of multiplication matrices, signs
-at real embeddings from Sturm-chain root isolation, so every decision made
-here is exact.
+at real embeddings from one integer comparison (degree 2) or Sturm-chain
+root isolation (higher degree), so every decision made here is exact.
 """
 
 import json
@@ -146,17 +146,39 @@ def _real_root_intervals(min_poly):
     return tuple(sorted(roots, key=lambda iv: iv[0], reverse=True))
 
 
+def _sign_plus_sqrt(u, v, D):
+    """Sign of u + v*sqrt(D) for integers u, v and D > 0, exactly."""
+    su = (u > 0) - (u < 0)
+    sv = (v > 0) - (v < 0)
+    if su * sv >= 0:
+        return su or sv
+    # opposite signs: the term of larger absolute value wins
+    lhs, rhs = u * u, v * v * D
+    return su if lhs > rhs else sv if lhs < rhs else 0
+
+
 def real_signs(x, F: FieldDescriptor):
-    """Sign of x at each real embedding, as a tuple over {1, -1}."""
+    """Sign of x at each real embedding, as a tuple over {1, -1}.
+
+    At degree 2 the roots of x^2 + c1*x + c0 are (-c1 +- sqrt D)/2, so
+    2*(a + b*theta) = u +- b*sqrt D with u = 2a - b*c1: one integer
+    comparison per root, the larger root first.  Higher degrees use one
+    Sturm-Tarski query per root.
+    """
     if all(a == 0 for a in x):
         raise ValueError("sign vector of zero is undefined")
-    out = []
-    for iv in _real_root_intervals(F.min_poly):
-        s = sturm.tarski_sign(x, F.min_poly, iv)
-        if s == 0:
-            raise ArithmeticError("element vanishes at a real embedding")
-        out.append(s)
-    return tuple(out)
+    c0, c1 = F.min_poly[0], F.min_poly[1]
+    D = c1 * c1 - 4 * c0
+    if F.degree == 2 and D > 0:
+        u = 2 * x[0] - x[1] * c1
+        out = (_sign_plus_sqrt(u, x[1], D), _sign_plus_sqrt(u, -x[1], D))
+    else:
+        out = tuple(
+            sturm.tarski_sign(x, F.min_poly, iv) for iv in _real_root_intervals(F.min_poly)
+        )
+    if 0 in out:
+        raise ArithmeticError("element vanishes at a real embedding")
+    return out
 
 
 def is_totally_positive(x, F: FieldDescriptor):

@@ -1,9 +1,11 @@
 """Splitting of rational primes in Z[theta] and reduction to residue fields.
 
-Only primes coprime to disc(min_poly) are handled; that single exclusion
-removes both ramified primes and primes dividing the index of Z[theta] in
-the maximal order, so factoring the minimal polynomial mod ell tells the
-whole story there.
+PrimeIdeal and the residue maps handle only primes coprime to
+disc(min_poly); that single exclusion removes both ramified primes and
+primes dividing the index of Z[theta] in the maximal order, so factoring
+the minimal polynomial mod ell tells the whole story there.  The ideal
+listing (prime_ideals_over) takes every ell: the maximal ideals of Z[theta]
+over ell are read off the same factorization, multiplicities aside.
 """
 
 from dataclasses import dataclass
@@ -54,12 +56,34 @@ def factor_prime(ell, F: FieldDescriptor):
     return tuple(out)
 
 
-def prime_to_ideal(v: PrimeIdeal, F: FieldDescriptor):
+def _prime_ideal(ell, g_poly, F: FieldDescriptor):
     # g_poly can have degree = n for inert primes; reduce, never truncate
-    n = F.degree
-    ell_elt = (v.ell,) + (0,) * (n - 1)
-    g_elt = reduce_mod_min_poly(v.g_poly, F.min_poly)
-    return ideal_from_generators([ell_elt, g_elt], F)
+    ell_elt = (ell,) + (0,) * (F.degree - 1)
+    return ideal_from_generators([ell_elt, reduce_mod_min_poly(g_poly, F.min_poly)], F)
+
+
+def prime_to_ideal(v: PrimeIdeal, F: FieldDescriptor):
+    return _prime_ideal(v.ell, v.g_poly, F)
+
+
+def prime_ideals_over(F: FieldDescriptor, ell):
+    """(ideal, norm) for every prime of Z[theta] over ell, ramified and index
+    primes included.
+
+    Z[theta]/(ell) = F_ell[x]/(min_poly mod ell), so its maximal ideals are
+    the (ell, g(theta)) for the distinct monic irreducible factors g, in
+    factor_prime's order.
+    """
+    return [
+        (_prime_ideal(ell, g, F), ell ** (len(g) - 1))
+        for g, _ in factor_poly_mod_ell(F.min_poly, ell)
+    ]
+
+
+def prime_ideal_blocks(F: FieldDescriptor, ells, bound):
+    """(ideal, norm) for every prime of Z[theta] over the rational primes
+    ells with norm <= bound."""
+    return [(a, n) for ell in ells for a, n in prime_ideals_over(F, ell) if n <= bound]
 
 
 @lru_cache(maxsize=None)

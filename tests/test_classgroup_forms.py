@@ -1,5 +1,6 @@
 """Class number oracles: reduced form cycles vs ideal enumeration, CRT checks."""
 
+import random
 from math import gcd
 
 from torushecke.abgroup import ExponentGroup, closure_from_stream
@@ -11,7 +12,9 @@ from torushecke.classnumber import (
     wide_class_of,
     wide_class_reps,
 )
-from torushecke.field import element_mul
+from torushecke.cli import moduli_upto
+from torushecke.congruence import residue_sign_group
+from torushecke.field import FieldDescriptor, element_mul, validate_descriptor
 from torushecke.forms import hplus_form_cycles, is_reduced, reduced_forms, rho_step
 from torushecke.galois import is_prime
 from torushecke.ideals import (
@@ -20,7 +23,8 @@ from torushecke.ideals import (
     residue_transversal,
     unit_ideal,
 )
-from torushecke.primes import factor_prime, prime_to_ideal
+from torushecke.intlinalg import hnf_reduce
+from torushecke.primes import factor_prime, prime_ideals_over, prime_to_ideal
 from torushecke.rayclass import narrow_class_number
 
 
@@ -116,19 +120,23 @@ def _merge_cyclic(orders):
     return tuple(sorted(d for d in factors if d > 1))
 
 
-def _unit_group_invariants_brute(F, modulus):
-    """Close (O/modulus)^x from the transversal and read off its structure."""
+def _brute_units(F, modulus):
+    """The residues of the HNF box coprime to the modulus, by ideal sums."""
+    return [
+        x
+        for x in residue_transversal(modulus)
+        if any(x) and element_is_coprime_to(x, modulus, F)
+    ]
+
+
+def _unit_group_invariants_brute(F, modulus, units):
+    """Close (O/modulus)^x from its units and read off its structure."""
     identity = modulus.reduce(F.one())
 
     def mul(x, y):
         return modulus.reduce(element_mul(x, y, F))
 
-    candidates = [
-        x
-        for x in residue_transversal(modulus)
-        if any(x) and element_is_coprime_to(x, modulus, F)
-    ]
-    closure = closure_from_stream(candidates, mul, identity)
+    closure = closure_from_stream(units, mul, identity)
     group = ExponentGroup.from_columns(closure.relation_columns, closure.ngens)
     return tuple(sorted(group.invariant_factors())), closure.order
 
@@ -166,7 +174,7 @@ def test_residue_units_match_crt_of_local_factors(F2, F3):
     checked = 0
     for F in (F2, F3):
         for modulus, orders in _prime_square_moduli(F, 1000):
-            got, order = _unit_group_invariants_brute(F, modulus)
+            got, order = _unit_group_invariants_brute(F, modulus, _brute_units(F, modulus))
             want = _merge_cyclic(orders)
             assert got == want, (F.label, orders, got, want)
             expected_order = 1
@@ -175,3 +183,63 @@ def test_residue_units_match_crt_of_local_factors(F2, F3):
             assert order == expected_order
             checked += 1
     assert checked >= 12
+
+
+def _oracle_moduli(F2, F3):
+    """(field, modulus) pairs for the structure-vs-brute-closure check."""
+    out = []
+    for d in (2, 3, 5, 6, 7, 10, 11, 13):  # the theorem sweep, norm <= 10
+        F = real_quadratic_field(d)
+        out += [(F, a) for a, _ in moduli_upto(F, 10)]
+    # P^k over the ramified 2 of Q(sqrt2)
+    (P, _), = prime_ideals_over(F2, 2)
+    power = P
+    for _ in range(8):
+        out.append((F2, power))
+        power = ideal_product(power, P, F2)
+    for F in (F2, F3):
+        out += [(F, a) for a, _ in _prime_square_moduli(F, 1000)]
+    # P * P'^2 over a split prime: two components over one rational prime
+    for F, ell in ((F2, 7), (F3, 11)):
+        P, Q = (prime_to_ideal(v, F) for v in factor_prime(ell, F))
+        out.append((F, ideal_product(P, ideal_product(Q, Q, F), F)))
+    for d in (229, 249):
+        F = real_quadratic_field(d)
+        out += [(F, a) for a, _ in moduli_upto(F, 12)]
+    zeta7_plus = FieldDescriptor(
+        label="Q(zeta7)^+",
+        min_poly=(-1, -2, 1, 1),
+        signature=(3, 0),
+        torsion_order=2,
+        torsion_generator=(-1, 0, 0),
+        fundamental_units=((0, 1, 0), (1, 1, 0)),
+        class_number=1,
+        provenance="ingested",
+    )
+    validate_descriptor(zeta7_plus)
+    out += [(zeta7_plus, a) for a, _ in moduli_upto(zeta7_plus, 40)]
+    return out
+
+
+def test_residue_structure_matches_the_brute_closure(F2, F3):
+    """The CRT product of local closures against the closure of the whole
+    box: same order and invariant factors, and element_vector injective on
+    the units of the box and multiplicative on random pairs."""
+    rng = random.Random(12)
+    for F, modulus in _oracle_moduli(F2, F3):
+        units = _brute_units(F, modulus)
+        invariants, order = _unit_group_invariants_brute(F, modulus, units)
+        csg = residue_sign_group(F, modulus)
+        k = csg.n_residue_gens
+        local = ExponentGroup.from_columns([c[:k] for c in csg.full_relation_columns[:k]], k)
+        assert csg.residue_order == local.order == order, (F.label, modulus)
+        assert tuple(sorted(local.invariant_factors())) == invariants, (F.label, modulus)
+        seen = {hnf_reduce(local.hnf, csg.element_vector(x)[:k]) for x in units}
+        assert len(seen) == len(units), (F.label, modulus)
+        group = ExponentGroup.from_columns(csg.full_relation_columns, csg.width)
+        for _ in range(10 if units else 0):
+            x, y = rng.choice(units), rng.choice(units)
+            vx, vy = csg.element_vector(x), csg.element_vector(y)
+            vxy = csg.element_vector(element_mul(x, y, F))
+            diff = tuple(a - b - c for a, b, c in zip(vxy, vx, vy))
+            assert not any(hnf_reduce(group.hnf, diff)), (F.label, modulus, x, y)

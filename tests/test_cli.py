@@ -1,16 +1,21 @@
 """CLI verbs, report shapes, sweep exit codes, and the ideal-list oracle."""
 
 import csv
+import hashlib
 import io
 import json
+import random
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from torushecke import cli, congruence, eigen, field, hecke, rayclass, units
+from torushecke import cli, congruence, eigen, field, hecke, ideals, rayclass, units
+from torushecke.abgroup import ExponentGroup
 from torushecke.classnumber import real_quadratic_field
-from torushecke.errors import Inconclusive
+from torushecke.errors import CapExceeded, Inconclusive
+from torushecke.intlinalg import hnf_reduce
 from torushecke.cli import (
     CSV_HEADER,
     SweepConfig,
@@ -202,6 +207,56 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
     calls.update(dict.fromkeys(stages, 0))
     verify_config(F2, seven2, 5, 50)
     assert calls == expected
+
+
+def test_residue_group_enumerates_only_its_primary_components(monkeypatch, F2):
+    # N(m) = 1152 = 2^7 * 3^2: m = P^7 * (3), components of norm 128 and 9
+    (modulus,) = moduli_of_norm(F2, 1152)
+    visited = []
+    coprime_calls = []
+    transversal = ideals.residue_transversal
+    coprime = ideals.element_is_coprime_to
+
+    def counting_transversal(a):
+        reps = transversal(a)
+        visited.append(len(reps))
+        return reps
+
+    def counting_coprime(*args):
+        coprime_calls.append(args)
+        return coprime(*args)
+
+    _patch_every_binding_site(monkeypatch, transversal, counting_transversal)
+    _patch_every_binding_site(monkeypatch, coprime, counting_coprime)
+    csg = congruence.residue_sign_group(F2, modulus)
+    assert sum(visited) <= 128 + 9
+    assert coprime_calls == []
+    assert csg.residue_order == 64 * 8
+
+
+def test_cap_bounds_the_largest_primary_component(F2):
+    # (1155) = (3)(5)(7)(11): (3), (5), (11) inert, 7 split into P7 * P7'
+    modulus = ideals.rational_ideal(1155, F2)
+    assert modulus.norm == 1155**2 > congruence.RESIDUE_ENUMERATION_CAP
+    with pytest.raises(CapExceeded, match="norm 121 "):
+        congruence.residue_sign_group(F2, modulus, cap=120)
+    csg = congruence.residue_sign_group(F2, modulus)
+    assert csg.residue_order == 8 * 24 * 36 * 120
+    # residue powers computed mod m agree with the local discrete logs
+    k = csg.n_residue_gens
+    lattice = ExponentGroup.from_columns([c[:k] for c in csg.full_relation_columns[:k]], k)
+    rng = random.Random(5)
+    elements = []
+    while len(elements) < 4:
+        x = (rng.randint(-50, 50), rng.randint(-50, 50))
+        if any(x) and ideals.element_is_coprime_to(x, modulus, F2):
+            elements.append(x)
+    vectors = [csg.element_vector(x)[:k] for x in elements]
+    for _ in range(5):
+        exps = [rng.randint(-(10**6), 10**6) for _ in elements]
+        got = csg.element_vector(csg.residue_power_product(elements, exps))[:k]
+        diff = [g - sum(e * v[i] for e, v in zip(exps, vectors)) for i, g in enumerate(got)]
+        assert not any(hnf_reduce(lattice.hnf, diff))
 
 
 def test_large_index_signs_only_small_elements(monkeypatch, F2):
@@ -435,3 +490,21 @@ def test_cli_cap_residue_must_be_positive():
         with pytest.raises(SystemExit) as exc:
             main(["invariants", "--d", "3", "--prime", "7", "--cap-residue", bad])
         assert exc.value.code == 2
+
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "invariants --d 2 --prime 5 --modulus-norm 1152",
+        "invariants --d 2 --prime 5 --modulus-norm 431",
+    ],
+)
+def test_pinned_benchmark_output_is_byte_identical(argv, capsys):
+    pinned = json.loads(PINNED.read_text())["outputs"][argv]
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert code == pinned["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned["stdout_sha256"]

@@ -9,6 +9,7 @@ from torushecke.classnumber import real_quadratic_field
 from torushecke.errors import ValidationError
 from torushecke.field import (
     FieldDescriptor,
+    _real_root_intervals,
     element_mul,
     element_norm,
     element_pow,
@@ -20,6 +21,7 @@ from torushecke.field import (
     real_signs,
     validate_descriptor,
 )
+from torushecke.sturm import tarski_sign
 
 GOOD = {
     "label": "Q(sqrt2)",
@@ -81,6 +83,32 @@ def test_signs_golden(F2):
     assert not is_totally_positive((1, 1), F2)
     with pytest.raises(ValueError):
         real_signs((0, 0), F2)
+
+
+def test_quadratic_signs_match_the_sturm_tarski_oracle():
+    # x^2 - d (d = 2, 3 mod 4) and x^2 - x - (d-1)/4 (d = 1 mod 4); the
+    # oracle walks the isolating intervals, larger root first
+    rng = random.Random(41)
+    for d in (2, 3, 5, 13, 229):
+        F = real_quadratic_field(d)
+        eps = F.fundamental_units[0]
+        k = 1
+        while max(abs(c) for c in element_pow(eps, k, F)).bit_length() < 500:
+            k += 1
+        cases = [(1, 0), (-4, 0), (0, 1), (0, -9), (1, 1), (-1, 1), (1, -1)]
+        # eps^k and eps^(k+1) have a conjugate of size 2^-500: u and v*sqrt D
+        # nearly cancel, so only an exact comparison gets that sign right
+        for e in (k, k + 1):
+            x = element_pow(eps, e, F)
+            cases += [x, tuple(-c for c in x), (x[0] - 1, x[1]), (x[0] + 1, x[1])]
+        for _ in range(60):
+            bits = rng.choice((3, 64, 500))
+            cases.append((rng.randint(-(2**bits), 2**bits), rng.randint(-(2**bits), 2**bits)))
+        for x in cases:
+            if x == (0, 0):
+                continue
+            want = tuple(tarski_sign(x, F.min_poly, iv) for iv in _real_root_intervals(F.min_poly))
+            assert real_signs(x, F) == want, (d, x)
 
 
 def test_norm_trace_goldens(F2, F5):
