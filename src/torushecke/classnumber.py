@@ -89,13 +89,13 @@ def wide_class_number_real_quadratic(F: FieldDescriptor):
     return len(reps)
 
 
-def wide_class_reps(F: FieldDescriptor, coprime_to: IdealHNF = None, norm_cap=10**4):
+def wide_class_reps(F: FieldDescriptor, coprime_to: IdealHNF = None):
     """Representatives of every wide class, identity first.
 
     Reps are the unit ideal plus degree-1 primes (products if needed), all
     coprime to the given ideal; the descriptor's class number says when to
-    stop.  Quadratic fields use the complete test; other fields must have
-    class number 1.
+    stop, and primes above CLASS_CLOSURE_CAP are never tried.  Quadratic
+    fields use the complete test; other fields must have class number 1.
     """
     h = F.class_number
     reps = [unit_ideal(F)]
@@ -106,7 +106,7 @@ def wide_class_reps(F: FieldDescriptor, coprime_to: IdealHNF = None, norm_cap=10
     disc = abs(poly_discriminant(F.min_poly))
     ell = 2
     while len(reps) < h:
-        if ell > norm_cap:
+        if ell > CLASS_CLOSURE_CAP:
             raise ArithmeticError("class representative sweep exhausted its cap")
         if is_prime(ell):
             skip = coprime_to is not None and coprime_to.norm % ell == 0

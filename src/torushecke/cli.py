@@ -184,10 +184,10 @@ class SweepConfig:
 def run_verify(sweep: SweepConfig):
     """(exit code, aggregated report) over every sweep configuration.
 
-    A configuration that raises is recorded in its own row under "error"
-    and the sweep goes on: a budget or cap that ran out, or an inconclusive
-    search, makes the exit code 2, any other error (like a failed check)
-    makes it 1.
+    A configuration that raises a package error, ArithmeticError or
+    ValueError is recorded in its own row under "error" and the sweep goes
+    on: a budget or cap that ran out, or an inconclusive search, makes the
+    exit code 2, any other error (like a failed check) makes it 1.
     """
     results = []
     failures = []
@@ -204,7 +204,7 @@ def run_verify(sweep: SweepConfig):
                     checks, report = verify_config(
                         F, modulus, p, sweep.budget, sweep.cap_residue
                     )
-                except (TorusHeckeError, ArithmeticError) as e:
+                except (TorusHeckeError, ArithmeticError, ValueError) as e:
                     if isinstance(e, RAN_OUT):
                         ran_out = True
                     else:
@@ -491,7 +491,7 @@ def main(argv=None):
     except RAN_OUT as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    except TorusHeckeError as e:
+    except (TorusHeckeError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except ArithmeticError as e:

@@ -3,10 +3,9 @@
 Polynomials over F_ell are coefficient tuples in little-endian order with no
 trailing zeros (the zero polynomial is the empty tuple).  Factorization runs
 squarefree decomposition, then distinct-degree splitting by modular Frobenius
-powers, then equal-degree splitting.  Equal-degree splitting prefers a
-deterministic exhaustive scan over monic candidates whenever ell**d is small,
-and otherwise uses randomized splitting with a seed derived from the input,
-so results are reproducible either way.
+powers, then equal-degree splitting by Cantor-Zassenhaus (the trace map in
+characteristic 2) with a seed derived from the input, so results are
+reproducible.
 """
 
 import random
@@ -15,7 +14,6 @@ from functools import lru_cache
 
 from .errors import CapExceeded, CharacterUndefined, GeneratorError
 
-EXHAUSTIVE_SPLIT_CAP = 10**6
 GENERATOR_FIELD_CAP = 10**9
 
 
@@ -245,47 +243,8 @@ def _factor_squarefree(f, ell):
 
 
 def _equal_degree_split(g, d, ell):
-    """Split a product of distinct degree-d irreducibles."""
-    n = len(g) - 1
-    if n == d:
-        return [g]
-    if ell ** d <= EXHAUSTIVE_SPLIT_CAP:
-        return _split_exhaustive(g, d, ell)
-    return _split_randomized(g, d, ell)
-
-
-def _split_exhaustive(g, d, ell):
-    """Trial-divide by every monic degree-d polynomial in lexicographic order.
-
-    Deterministic fallback; viable because ell**d stays at desk scale.
-    """
-    out = []
-    rem = g
-    counters = [0] * d
-    while len(rem) - 1 > d:
-        cand = tuple(counters) + (1,)
-        if poly_mod(rem, cand, ell) == ():
-            out.append(cand)
-            rem, _ = poly_divmod(rem, cand, ell)
-        # increment little-endian counter
-        i = 0
-        while i < d:
-            counters[i] += 1
-            if counters[i] < ell:
-                break
-            counters[i] = 0
-            i += 1
-        else:
-            break
-    if len(rem) - 1 == d:
-        out.append(rem)
-    elif len(rem) - 1 > d:
-        raise ArithmeticError("exhaustive split failed")
-    return out
-
-
-def _split_randomized(g, d, ell):
-    """Equal-degree splitting with a seed tied to the input polynomial."""
+    """Split a product of distinct degree-d irreducibles by Cantor-Zassenhaus,
+    with a seed tied to the input polynomial."""
     rng = random.Random(hash((g, d, ell)) & 0xFFFFFFFF)
     work = [g]
     out = []

@@ -6,7 +6,9 @@ an operator is a finitely supported sum of (shift, wedge) terms and acts by
 blocks (with the inverse-shift convention for indicators), degree-1
 operators wedge in the character of a scanned prime, and the rank of the
 stacked characters on the congruence-unit kernel is the invariant the
-verification pipeline is after.
+verification pipeline is after.  That rank is bounded above by the rank of
+E's exponent vectors mod p, which is checked to be r_p - delta_p, so every
+scan stops at a target it has proved.
 """
 
 from dataclasses import dataclass
@@ -14,14 +16,12 @@ from dataclasses import dataclass
 from .errors import BudgetShortfall
 from .exterior import MultiVector, wedge
 from .field import FieldDescriptor
-from .fplinalg import FpRankAccumulator
+from .fplinalg import FpRankAccumulator, fp_rank
 from .galois import find_generator, pth_character, primes_stream
 from .ideals import IdealHNF, unit_ideal
 from .primes import PrimeIdeal, _min_poly_disc, factor_prime, residue_field, residue_image
 from .rayclass import RayClassGroup
 from .units import EUnits, compute_rp, unit_generators
-
-ZERO_TARGET_VERIFICATION_FLOOR = 8
 
 
 @dataclass(frozen=True)
@@ -166,14 +166,29 @@ def t1_primes(F: FieldDescriptor, modulus: IdealHNF, p: int, residue_degree=None
                 yield v
 
 
-def scan_t1(E: EUnits, p: int, budget: int, residue_degree=None):
+def scan_t1(E: EUnits, p: int, budget: int):
     """At most budget (prime, functional) pairs in canonical scan order."""
     count = 0
-    for v in t1_primes(E.image.csg.field, E.modulus, p, residue_degree):
+    for v in t1_primes(E.image.csg.field, E.modulus, p):
         if count >= budget:
             return
         yield v, unit_functional(v, E, p)
         count += 1
+
+
+def _greedy_span(records, row_of, p, width, target, budget):
+    """Read records off a lazy iterator until the F_p span of their rows
+    reaches target or budget records are read; nothing is read once it has.
+    Returns (rank, every record read, those whose row enlarged the span)."""
+    acc = FpRankAccumulator(p, width)
+    visited = []
+    spanning = []
+    while acc.rank < target and len(visited) < budget:
+        record = next(records)
+        visited.append(record)
+        if acc.add(row_of(record)):
+            spanning.append(record)
+    return acc.rank, tuple(visited), tuple(spanning)
 
 
 @dataclass(frozen=True)
@@ -199,37 +214,30 @@ class TpScan:
 def compute_tp(E: EUnits, p: int, budget: int = 50):
     """Rank of the stacked degree-1 characters, from residue-degree-1 primes.
 
-    Stops as soon as the rank hits r_p - delta_p; if the target is zero the
-    scan still inspects a fixed floor of primes so that vanishing is
-    witnessed rather than assumed.  shortfall means the budget ran out with
-    the rank still below target.
+    A character is linear on E's exponent vectors and sees zeta only when p
+    divides w, so t_p is at most the rank of those coordinates mod p; that
+    rank must be r_p - delta_p (ArithmeticError otherwise), which ties the
+    kernel lattice to the image invariants and makes the target a proved
+    upper bound.  The scan stops there, so a zero target visits no prime.
+    shortfall means the budget ran out with the rank still below target.
     """
     F = E.image.csg.field
-    r = F.unit_rank
     target = compute_rp(F, p) - E.image.delta_p(p)
-    acc = FpRankAccumulator(p, r)
-    certificate = []
-    visited = []
-    consumed = 0
-    floor = 0 if target > 0 else min(budget, ZERO_TARGET_VERIFICATION_FLOOR)
-    for v in t1_primes(F, E.modulus, p, residue_degree=1):
-        if acc.rank >= target and consumed >= floor:
-            break
-        if consumed >= budget:
-            break
-        phi = unit_functional(v, E, p)
-        consumed += 1
-        visited.append(phi)
-        if acc.add(phi.values):
-            certificate.append(phi)
+    first = 1 if F.torsion_order % p else 0  # drop zeta unless p | w
+    if fp_rank([col[first:] for col in E.exponent_vectors], p) != target:
+        raise ArithmeticError("rank of E mod p disagrees with r_p - delta_p")
+    phis = (unit_functional(v, E, p) for v in t1_primes(F, E.modulus, p, residue_degree=1))
+    t_p, visited, certificate = _greedy_span(
+        phis, lambda phi: phi.values, p, F.unit_rank, target, budget
+    )
     return TpScan(
         p=p,
-        t_p=acc.rank,
+        t_p=t_p,
         target=target,
-        certificate=tuple(certificate),
-        visited=tuple(visited),
-        consumed=consumed,
-        shortfall=acc.rank < target,
+        certificate=certificate,
+        visited=visited,
+        consumed=len(visited),
+        shortfall=t_p < target,
     )
 
 
@@ -256,23 +264,13 @@ def spanning_set(F: FieldDescriptor, p: int, budget: int = 25):
     target = compute_rp(F, p)
     if len(unit_generators(F)) - first != target:
         raise ArithmeticError("generator count disagrees with the rank target")
-    acc = FpRankAccumulator(p, target)
-    chosen = []
-    rows = []
-    consumed = 0
-    for v in t1_primes(F, modulus, p):
-        if consumed >= budget or acc.rank >= target:
-            break
-        consumed += 1
-        row = generator_characters(v, p, F)[1][first:]
-        if acc.add(row):
-            chosen.append(v)
-            rows.append(row)
+    rows = ((v, generator_characters(v, p, F)[1][first:]) for v in t1_primes(F, modulus, p))
+    rank, _, spanning = _greedy_span(rows, lambda vr: vr[1], p, target, target, budget)
     return SpanningScan(
-        primes=tuple(chosen),
-        rows=tuple(rows),
+        primes=tuple(v for v, _ in spanning),
+        rows=tuple(row for _, row in spanning),
         target=target,
-        shortfall=acc.rank < target,
+        shortfall=rank < target,
     )
 
 

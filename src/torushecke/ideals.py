@@ -94,7 +94,10 @@ def ideal_is_coprime(a: IdealHNF, b: IdealHNF, F: FieldDescriptor):
 
 
 def conjugate_ideal(a: IdealHNF, F: FieldDescriptor):
-    """Image under the nontrivial automorphism; quadratic fields only."""
+    """Image under the nontrivial automorphism; quadratic fields only, but
+    the unit ideal is its own conjugate in every degree."""
+    if a.norm == 1:
+        return a
     if F.degree != 2:
         raise ValueError("conjugation implemented for quadratic fields only")
     q1 = F.min_poly[1]

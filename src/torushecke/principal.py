@@ -18,7 +18,7 @@ FOUND = "found"
 NOT_FOUND = "not_found"
 INCONCLUSIVE = "inconclusive"
 
-DEFAULT_BOX_RADIUS = 12
+BOX_RADIUS = 12
 
 
 @dataclass(frozen=True)
@@ -31,15 +31,16 @@ class PrincipalSearchResult:
         return self.status == FOUND
 
 
-def principal_generator(a: IdealHNF, F: FieldDescriptor, box_radius=None):
+def principal_generator(a: IdealHNF, F: FieldDescriptor):
     """Find x with (x) = a, exactly verified through HNF equality.
 
     Returns a tri-state result: found (with generator), not_found (only from
-    the complete quadratic mode), or inconclusive (general-mode exhaustion).
+    the complete quadratic mode), or inconclusive (general-mode exhaustion
+    of the box of radius BOX_RADIUS).
     """
     if F.degree == 2 and F.signature[0] == 2:
         return _quadratic_search(a, F)
-    return _box_search(a, F, box_radius or DEFAULT_BOX_RADIUS)
+    return _box_search(a, F, BOX_RADIUS)
 
 
 def _unit_height_bound(F: FieldDescriptor):

@@ -105,17 +105,17 @@ class RayClassGroup:
     def class_of_prime(self, v):
         return self.class_of(prime_to_ideal(v, self.field))
 
-    def representatives(self, prime_cap=200):
+    def representatives(self):
         """One integral ideal per class, coprime to the modulus.
 
-        Swept from ascending unramified primes, then filled in by products;
-        distinct codes certify pairwise inequivalence.
+        Swept from the unramified primes among the first 200, then filled in
+        by products; distinct codes certify pairwise inequivalence.
         """
         F = self.field
         reps = {0: unit_ideal(F)}
         disc = _min_poly_disc(F.min_poly)
         nm = self.modulus.norm
-        for ell in islice(primes_stream(), prime_cap):
+        for ell in islice(primes_stream(), 200):
             if len(reps) == self.order:
                 break
             if disc % ell and nm % ell:

@@ -49,6 +49,23 @@ def Fzeta5():
 
 
 @pytest.fixture(scope="session")
+def cubic_descriptors():
+    """Descriptor dicts of two cyclic cubics of unit rank 2 and class number
+    1, with the units theta, 1 + theta: Q(zeta7)^+ and Shanks' simplest
+    cubic x^3 - a x^2 - (a+3) x - 1 at a = 1."""
+    common = {
+        "signature": [3, 0],
+        "torsion": {"order": 2, "generator": [-1, 0, 0]},
+        "fundamental_units": [[0, 1, 0], [1, 1, 0]],
+        "class_number": 1,
+    }
+    return (
+        {"label": "Q(zeta7)+", "min_poly": [-1, -2, 1, 1], **common},
+        {"label": "simplest cubic a=1", "min_poly": [-1, -4, -1, 1], **common},
+    )
+
+
+@pytest.fixture(scope="session")
 def one2(F2):
     return unit_ideal(F2)
 

@@ -316,6 +316,36 @@ def test_verify_inconclusive_configuration_exits_two(monkeypatch, capsys):
     assert agg["pass"] is False
 
 
+def test_verify_records_a_value_error_and_goes_on(monkeypatch, capsys):
+    built = cli.ray_class_group
+
+    def refuse_sqrt2(ui):
+        if ui.csg.field.label == "Q(sqrt2)":
+            raise ValueError("no ray class group here")
+        return built(ui)
+
+    monkeypatch.setattr(cli, "ray_class_group", refuse_sqrt2)
+    argv = ["verify", "--d", "2", "--d", "3", "--prime", "5", "--modulus-norm", "4"]
+    assert main(argv) == 1
+    agg = json.loads(capsys.readouterr().out)
+    broken = [r for r in agg["results"] if r["field"] == "Q(sqrt2)"]
+    kept = [r for r in agg["results"] if r["field"] == "Q(sqrt3)"]
+    assert broken and all(r["error"] == "ValueError: no ray class group here" for r in broken)
+    monkeypatch.undo()
+    assert main(["verify", "--d", "3", "--prime", "5", "--modulus-norm", "4"]) == 0
+    alone = json.loads(capsys.readouterr().out)["results"]
+    assert json.dumps(kept) == json.dumps(alone)
+
+
+def test_main_reports_a_value_error_without_a_traceback(monkeypatch, capsys):
+    def refuse(F):
+        raise ValueError("no narrow class number here")
+
+    monkeypatch.setattr(cli, "narrow_class_number", refuse)
+    assert main(["field", "info", "--d", "2"]) == 1
+    assert capsys.readouterr().err == "ValueError: no narrow class number here\n"
+
+
 def test_run_verify_skips_noncoprime_moduli(F3):
     code, agg = run_verify(
         SweepConfig(fields=(F3,), modulus_norm_bound=4, primes=(3,))
@@ -337,6 +367,39 @@ def test_cli_field_info(capsys):
     assert info["narrow_class_number"] == 1
     assert info["irreducibility_certificate_prime"] == 3
     assert info["provenance"] == "native"
+
+
+# sha256 of `verify --modulus-norm 13 --prime P --format csv` for P = 3, 5, 7,
+# as computed at fc28683; the ray class group conjugates the representative
+# (1), which must work in every degree
+CUBIC_CSV_SHA256 = {
+    "Q(zeta7)+": (
+        "ba85d71a51611b2fd644af8984b0a46f9e7d1ba07c038075adac146ab7283c35",
+        "f5f0c82b372d282ded24a8375ed8c63a8bbb5b10aaace2f1dba6cb787c5d7e44",
+        "b33fc53a90812372668ca6906731f1a05497efdcbffa8f4855ca7b0e7a9258c8",
+    ),
+    "simplest cubic a=1": (
+        "9983e16295bb1c2f1cd22dfa25e9f85d4eb827f78206224beae6550b567efd88",
+        "f62ddedb127c379145e2f845baa957322043fa58cba6389759e122defbd0a8de",
+        "23090f8bb9d4b3f81a07193befe1eca5d05ac9353fdc408258714ebee741399a",
+    ),
+}
+
+
+def test_cubic_descriptors_verify_to_their_golden_csv(tmp_path, capsys, cubic_descriptors):
+    t_p = set()
+    for descriptor in cubic_descriptors:
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps(descriptor))
+        assert main(["field", "info", "--descriptor", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["narrow_class_number"] == 1
+        for p, digest in zip((3, 5, 7), CUBIC_CSV_SHA256[descriptor["label"]]):
+            argv = ["verify", "--descriptor", str(path), "--modulus-norm", "13"]
+            assert main(argv + ["--prime", str(p), "--format", "csv"]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+            t_p |= {row["t_p"] for row in csv.DictReader(io.StringIO(out))}
+    assert t_p == {"1", "2"}
 
 
 def test_cli_invariants_json_singleton(capsys):
@@ -495,15 +558,12 @@ def test_cli_cap_residue_must_be_positive():
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "invariants --d 2 --prime 5 --modulus-norm 1152",
-        "invariants --d 2 --prime 5 --modulus-norm 431",
-    ],
-)
+PINNED_OUTPUTS = json.loads(PINNED.read_text())["outputs"]
+
+
+@pytest.mark.parametrize("argv", list(PINNED_OUTPUTS))
 def test_pinned_benchmark_output_is_byte_identical(argv, capsys):
-    pinned = json.loads(PINNED.read_text())["outputs"][argv]
+    pinned = PINNED_OUTPUTS[argv]
     code = main(argv.split())
     out = capsys.readouterr().out
     assert code == pinned["exit"]

@@ -29,15 +29,17 @@ def _poly_product(factors, ell):
 
 def test_factorization_reconstructs_input():
     rng = random.Random(314159)
-    for _ in range(120):
-        ell = rng.choice([2, 3, 5, 7, 11, 13])
-        deg = rng.randint(1, 6)
-        coeffs = tuple(rng.randrange(ell) for _ in range(deg)) + (1,)
-        factors = factor_poly_mod_ell(coeffs, ell)
-        assert _poly_product(factors, ell) == poly_trim(coeffs)
-        for g, _ in factors:
-            assert g[-1] == 1  # monic
-            assert poly_is_irreducible(g, ell)
+    # small fields, characteristic 2 included, then large ones
+    for ells, max_deg, cases in (([2, 3, 5, 7, 11, 13], 6, 120), ([101, 1009], 4, 60)):
+        for _ in range(cases):
+            ell = rng.choice(ells)
+            deg = rng.randint(1, max_deg)
+            coeffs = tuple(rng.randrange(ell) for _ in range(deg)) + (1,)
+            factors = factor_poly_mod_ell(coeffs, ell)
+            assert _poly_product(factors, ell) == poly_trim(coeffs)
+            for g, _ in factors:
+                assert g[-1] == 1  # monic
+                assert poly_is_irreducible(g, ell)
 
 
 def test_factor_goldens():

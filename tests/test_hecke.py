@@ -1,6 +1,7 @@
 """Operator algebra on class-indexed exterior blocks, plus the prime scans."""
 
 import random
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 
 from torushecke.errors import BudgetShortfall
 from torushecke.exterior import MultiVector
-from torushecke.field import is_totally_positive
+from torushecke.field import is_totally_positive, load_descriptor
+from torushecke.fplinalg import fp_rank
 from torushecke.classnumber import real_quadratic_field
-from torushecke.cli import moduli_upto
+from torushecke.cli import moduli_of_norm, moduli_upto
 from torushecke.galois import find_generator, pth_character
 from torushecke.hecke import (
-    ZERO_TARGET_VERIFICATION_FLOOR,
     CohomologyClass,
     HeckeElement,
     compute_tp,
@@ -28,7 +29,7 @@ from torushecke.hecke import (
 from torushecke.ideals import unit_ideal
 from torushecke.primes import residue_field, residue_image
 from torushecke.rayclass import ray_class_group
-from torushecke.units import e_units, unit_image_in_modulus, unit_power_product
+from torushecke.units import compute_rp, e_units, unit_image_in_modulus, unit_power_product
 
 
 def _group2():
@@ -214,16 +215,94 @@ def test_compute_tp_certificate_golden(F2, one2):
     assert phi.generator_encoding == 3
 
 
-def test_compute_tp_zero_target_floor(F2, seven2):
-    # p = 3: delta_3 = 1 eats the whole rank, target 0, yet vanishing is
-    # witnessed on a floor of scanned primes rather than assumed
+def test_compute_tp_zero_target_visits_no_prime(F2, seven2):
+    # p = 3: delta_3 = 1 eats the whole rank, so E mod 3 has rank 0 and the
+    # target 0 is proved without reading a character
     scan = compute_tp(e_units(unit_image_in_modulus(F2, seven2), 3), 3)
     assert scan.target == 0
     assert scan.t_p == 0
     assert not scan.shortfall
-    assert scan.consumed >= ZERO_TARGET_VERIFICATION_FLOOR
-    assert all(phi.values == (0,) for phi in scan.visited)
+    assert scan.visited == ()
+    assert scan.consumed == 0
     assert scan.certificate == ()
+
+
+def _sweep_configurations():
+    """(F, modulus, p) of acceptance criterion 4 at moduli of norm <= 10."""
+    for d in (2, 3, 5, 6, 7, 10, 11, 13):
+        F = real_quadratic_field(d)
+        for p in (3, 5, 7):
+            for modulus, norm in moduli_upto(F, 10):
+                if norm % p:
+                    yield F, modulus, p
+
+
+def test_zero_targets_agree_with_the_sampled_floor():
+    """Every character vanishes where the target is 0: the first 8 scan
+    primes, the floor the scan used to sample, all read 0 on E."""
+    F2 = real_quadratic_field(2)
+    configs = list(_sweep_configurations())
+    configs += [(F2, modulus, 5) for modulus in moduli_of_norm(F2, 431)]
+    zero = 0
+    for F, modulus, p in configs:
+        E = e_units(unit_image_in_modulus(F, modulus), p)
+        scan = compute_tp(E, p)
+        if scan.target:
+            continue
+        zero += 1
+        assert scan.visited == ()
+        rows = [phi.values for _, phi in scan_t1(E, p, budget=8)]
+        assert len(rows) == 8
+        assert all(row == (0,) * F.unit_rank for row in rows), (F.label, modulus.hnf, p)
+    assert zero == 6 + 2
+
+
+def test_compute_tp_refuses_a_unit_lattice_of_the_wrong_rank(F2, one2, cubic_descriptors):
+    # one exponent vector times p leaves E's rank mod p below r_p - delta_p
+    zeta7_plus = load_descriptor(cubic_descriptors[0])
+    for F, p in ((F2, 5), (zeta7_plus, 3)):
+        E = e_units(unit_image_in_modulus(F, unit_ideal(F)), p)
+        assert compute_tp(E, p).target == F.unit_rank
+        first, *rest = E.exponent_vectors
+        tampered = replace(E, exponent_vectors=(tuple(p * x for x in first), *rest))
+        with pytest.raises(ArithmeticError, match="r_p - delta_p"):
+            compute_tp(tampered, p)
+
+
+def test_rank_identity_at_the_even_prime(cubic_descriptors, Fzeta5):
+    """At p = 2 the zeta coordinate counts: the rank of E's exponent vectors
+    mod 2, zeta row included, is r_2 - delta_2, and the scan reaches it.
+
+    With a real place the zeta row is a sum of unit rows (E is totally
+    positive), so only Q(zeta5) tells the rows apart: at norm 5 and 25 its E
+    is generated by (1, 2), of rank 1 with the zeta row and 0 without."""
+    fields = [real_quadratic_field(d) for d in (2, 3, 5, 6, 7, 10, 11, 13)]
+    fields += [load_descriptor(c) for c in cubic_descriptors]
+    targets = []
+    for F in fields + [Fzeta5]:
+        for modulus, norm in moduli_upto(F, 40):
+            if norm % 2 == 0 or (F is Fzeta5 and norm == 1):  # -1 in E((1))
+                continue
+            E = e_units(unit_image_in_modulus(F, modulus), 2)
+            target = compute_rp(F, 2) - E.image.delta_p(2)
+            assert fp_rank(E.exponent_vectors, 2) == target
+            scan = compute_tp(E, 2)
+            assert (scan.target, scan.t_p, scan.shortfall) == (target, target, False)
+            targets.append(target)
+    # -1 is never in a real E; there target 1 needs a unit of norm +1
+    assert (targets.count(0), targets.count(1)) == (150, 15 + 10)
+
+
+def test_zeta_row_is_dropped_unless_p_divides_w(Fzeta5):
+    # w = 10, p = 3: no character sees zeta, and counting its coordinate would
+    # give E = (8, 3), (1, 3) or (2, 3) at norm 31 rank 1 against a target of 0
+    ranks = []
+    for modulus in moduli_of_norm(Fzeta5, 31):
+        E = e_units(unit_image_in_modulus(Fzeta5, modulus), 3)
+        ranks.append(fp_rank(E.exponent_vectors, 3))
+        scan = compute_tp(E, 3)
+        assert (scan.target, scan.visited) == (0, ())
+    assert sorted(ranks) == [0, 1, 1, 1]
 
 
 def test_compute_tp_budget_shortfall(F2, one2):
@@ -266,24 +345,18 @@ def test_functional_span_invariant_under_generator_choice(F2, F3, one2):
 
 
 def test_exponent_coordinates_match_explicit_units_on_the_sweep():
-    # the fields and primes of acceptance criterion 4, moduli of norm <= 10
     seen = 0
-    for d in (2, 3, 5, 6, 7, 10, 11, 13):
-        F = real_quadratic_field(d)
-        for p in (3, 5, 7):
-            for modulus, norm in moduli_upto(F, 10):
-                if norm % p == 0:
-                    continue
-                E = e_units(unit_image_in_modulus(F, modulus), p)
-                etas = [unit_power_product(col, F) for col in E.exponent_vectors]
-                for eta in etas:
-                    assert is_totally_positive(eta, F)
-                    assert modulus.contains(tuple(a - b for a, b in zip(eta, F.one())))
-                for v, phi in scan_t1(E, p, budget=3):
-                    g = find_generator(residue_field(v))
-                    row = tuple(pth_character(residue_image(eta, v), p, g) for eta in etas)
-                    assert phi.values == row, (d, modulus.hnf, p, v.label())
-                seen += 1
+    for F, modulus, p in _sweep_configurations():
+        E = e_units(unit_image_in_modulus(F, modulus), p)
+        etas = [unit_power_product(col, F) for col in E.exponent_vectors]
+        for eta in etas:
+            assert is_totally_positive(eta, F)
+            assert modulus.contains(tuple(a - b for a, b in zip(eta, F.one())))
+        for v, phi in scan_t1(E, p, budget=3):
+            g = find_generator(residue_field(v))
+            row = tuple(pth_character(residue_image(eta, v), p, g) for eta in etas)
+            assert phi.values == row, (F.label, modulus.hnf, p, v.label())
+        seen += 1
     assert seen == 172
 
 
