@@ -1,18 +1,15 @@
-"""Wide class groups of real quadratic orders and native field construction.
+"""Wide class representatives of real quadratic orders and native fields.
 
-The class group is built from first principles: degree-one prime ideals up
-to the Minkowski bound, pairwise equivalence decided by the complete
-norm-equation principal test on a*conj(b), closure under products.  This
-path is deliberately independent of the reduced-form cycle count so the two
-can serve as cross-checking oracles.
+The class number of a native field is the number of rho-cycles of reduced
+ideals (forms.py).  Representatives are degree-one primes told apart by the
+complete principal test on a*conj(b), which walks the same cycles.
 """
-
-from math import isqrt
 
 from .errors import CapExceeded, ValidationError
 from .field import FieldDescriptor, poly_discriminant, validate_descriptor
-from .galois import distinct_roots, is_prime
-from .ideals import IdealHNF, conjugate_ideal, ideal_product, unit_ideal
+from .forms import wide_class_number
+from .galois import distinct_roots, factor_int, is_prime
+from .ideals import IdealHNF, conjugate_ideal, ideal_from_generators, ideal_product, unit_ideal
 from .principal import FOUND, NOT_FOUND, principal_generator
 from .units import fundamental_unit_real_quadratic
 
@@ -26,24 +23,12 @@ def degree_one_primes_over(F: FieldDescriptor, ell):
     Inert primes are principal as ideals, so they never matter for class
     representatives and are not produced.
     """
-    from .ideals import ideal_from_generators
-
     n = F.degree
     out = []
     for t in distinct_roots(F.min_poly, ell):
         ell_elt = (ell,) + (0,) * (n - 1)
         g_elt = tuple((-t, 1) + (0,) * (n - 2))
         out.append(ideal_from_generators([ell_elt, g_elt], F))
-    return out
-
-
-def degree_one_primes_upto(F: FieldDescriptor, bound):
-    out = []
-    ell = 2
-    while ell <= bound:
-        if is_prime(ell):
-            out.extend(degree_one_primes_over(F, ell))
-        ell += 1
     return out
 
 
@@ -64,38 +49,13 @@ def ideals_wide_equivalent(a: IdealHNF, b: IdealHNF, F: FieldDescriptor):
     raise ArithmeticError("principal test inconclusive in complete quadratic mode")
 
 
-def wide_class_number_real_quadratic(F: FieldDescriptor):
-    """h_F by Minkowski-bound generation and exact pairwise equivalence.
-
-    Every class contains an integral ideal of norm <= sqrt(disc)/2, and any
-    such ideal factors into degree-1 primes within the same bound (inert
-    factors are principal), so closing the identity under products with
-    those primes visits every class.
-    """
-    disc = abs(poly_discriminant(F.min_poly))
-    bound = isqrt(disc) // 2 + 1
-    primes = degree_one_primes_upto(F, bound)
-    reps = [unit_ideal(F)]
-    frontier = [unit_ideal(F)]
-    while frontier:
-        base = frontier.pop()
-        for q in primes:
-            cand = ideal_product(base, q, F)
-            if cand.norm > CLASS_CLOSURE_CAP:
-                raise CapExceeded("class closure produced ideals beyond the norm cap")
-            if not any(ideals_wide_equivalent(cand, r, F) for r in reps):
-                reps.append(cand)
-                frontier.append(cand)
-    return len(reps)
-
-
 def wide_class_reps(F: FieldDescriptor, coprime_to: IdealHNF = None):
     """Representatives of every wide class, identity first.
 
-    Reps are the unit ideal plus degree-1 primes (products if needed), all
-    coprime to the given ideal; the descriptor's class number says when to
-    stop, and primes above CLASS_CLOSURE_CAP are never tried.  Quadratic
-    fields use the complete test; other fields must have class number 1.
+    Reps are the unit ideal plus degree-1 primes, all coprime to the given
+    ideal; the descriptor's class number says when to stop, and primes
+    above CLASS_CLOSURE_CAP are never tried.  Quadratic fields use the
+    complete test; other fields must have class number 1.
     """
     h = F.class_number
     reps = [unit_ideal(F)]
@@ -103,7 +63,6 @@ def wide_class_reps(F: FieldDescriptor, coprime_to: IdealHNF = None):
         return tuple(reps)
     if F.degree != 2:
         raise ValidationError("nontrivial class groups are native to quadratic fields only")
-    disc = abs(poly_discriminant(F.min_poly))
     ell = 2
     while len(reps) < h:
         if ell > CLASS_CLOSURE_CAP:
@@ -127,46 +86,22 @@ def wide_class_of(a: IdealHNF, reps, F: FieldDescriptor):
     raise ArithmeticError("ideal matches no class representative")
 
 
-def _squarefree(d):
-    n = d
-    f = 2
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 1
-    return True
-
-
 def real_quadratic_field(d):
-    """Native descriptor for Q(sqrt d): unit, class number, validation."""
-    if d <= 1 or not _squarefree(d):
+    """Native descriptor for Q(sqrt d): unit and class number from the rho-cycles."""
+    if d <= 1 or max(factor_int(d).values()) > 1:
         raise ValidationError(f"d = {d} must be a squarefree integer > 1")
-    if d % 4 == 1:
-        min_poly = (-(d - 1) // 4, -1, 1)
-    else:
-        min_poly = (-d, 0, 1)
-    if abs(poly_discriminant(min_poly)) > NATIVE_DISC_CAP:
+    min_poly = (-(d - 1) // 4, -1, 1) if d % 4 == 1 else (-d, 0, 1)
+    D = poly_discriminant(min_poly)
+    if D > NATIVE_DISC_CAP:
         raise CapExceeded(f"native discriminant cap exceeded for d = {d}")
-    eps = fundamental_unit_real_quadratic(d)
-    provisional = FieldDescriptor(
+    F = FieldDescriptor(
         label=f"Q(sqrt{d})",
         min_poly=min_poly,
         signature=(2, 0),
         torsion_order=2,
         torsion_generator=(-1, 0),
-        fundamental_units=(eps,),
-        class_number=1,
-        provenance="native",
-    )
-    h = wide_class_number_real_quadratic(provisional)
-    F = FieldDescriptor(
-        label=provisional.label,
-        min_poly=min_poly,
-        signature=(2, 0),
-        torsion_order=2,
-        torsion_generator=(-1, 0),
-        fundamental_units=(eps,),
-        class_number=h,
+        fundamental_units=(fundamental_unit_real_quadratic(d),),
+        class_number=wide_class_number(D),
         provenance="native",
     )
     validate_descriptor(F)

@@ -12,7 +12,8 @@ from functools import lru_cache
 
 from . import sturm
 from .errors import ValidationError
-from .galois import is_prime, poly_is_irreducible, poly_trim
+from .forms import fundamental_unit, power_basis, wide_class_number
+from .galois import factor_int, is_prime, poly_is_irreducible, poly_trim
 from .intlinalg import IntMatrix, det
 
 IRREDUCIBILITY_SCAN_LIMIT = 300
@@ -212,7 +213,9 @@ def validate_descriptor(F: FieldDescriptor):
     Irreducibility is certified by exhibiting a prime modulo which min_poly
     stays irreducible.  Polynomials irreducible over Q that factor modulo
     every prime (plenty exist) are rejected: this validator trades a class
-    of valid inputs for an exact, cheap certificate.
+    of valid inputs for an exact, cheap certificate.  A real quadratic
+    descriptor must carry the fundamental unit (up to sign and inverse) and
+    the true class number; in higher degree only the unit norms are checked.
     """
     f = poly_trim(F.min_poly)
     n = len(f) - 1
@@ -248,7 +251,7 @@ def validate_descriptor(F: FieldDescriptor):
     z = F.torsion_generator
     if element_pow(z, w, F) != F.one():
         raise ValidationError("torsion generator does not have the stated order")
-    for q in _prime_divisors(w):
+    for q in factor_int(w):
         if element_pow(z, w // q, F) == F.one():
             raise ValidationError("torsion generator order is a proper divisor of w")
     if len(F.fundamental_units) != F.unit_rank:
@@ -260,21 +263,24 @@ def validate_descriptor(F: FieldDescriptor):
             raise ValidationError(f"unit candidate {u} has norm != +-1")
     if F.class_number < 1:
         raise ValidationError("class number must be positive")
+    if (r1, r2) == (2, 0):
+        _certify_real_quadratic(F)
     return {"irreducibility_certificate_prime": cert, "real_roots": nreal}
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _certify_real_quadratic(F: FieldDescriptor):
+    """The unit must be +-eps^+-1 and the class number the number of
+    rho-cycles of primitive reduced forms, both for D = disc(min_poly)."""
+    c0, c1 = F.min_poly[0], F.min_poly[1]
+    D = c1 * c1 - 4 * c0
+    eps = power_basis(fundamental_unit(D), F.min_poly)
+    u = F.fundamental_units[0]
+    signs = (F.one(), element_neg(F.one()))
+    if u not in (eps, element_neg(eps)) and element_mul(u, eps, F) not in signs:
+        raise ValidationError(f"unit {u} is not +-eps^+-1 for the fundamental unit eps = {eps}")
+    h = wide_class_number(D)
+    if F.class_number != h:
+        raise ValidationError(f"class number {F.class_number} disagrees with the {h} rho-cycles")
 
 
 def load_descriptor(source):

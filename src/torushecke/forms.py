@@ -1,13 +1,21 @@
-"""Narrow class number oracle via cycles of reduced indefinite forms.
+"""Reduction and rho-cycles of indefinite forms: the real quadratic class data.
 
-Integer binary quadratic forms a x^2 + b x y + c y^2 of positive nonsquare
-discriminant D = b^2 - 4ac fall into finitely many reduced representatives,
-and the reduction-step permutation rho partitions them into cycles.  The
-number of cycles is the narrow class number of discriminant D.  Everything
-here is integer arithmetic; isqrt stands in for the real square root.
+The order Z[theta] with min_poly x^2 + c1*x + c0 has discriminant
+D = c1^2 - 4*c0 > 0, and an invertible ideal of it is c*(A, (b + sqrt D)/2)
+with c, A > 0 and the primitive form (A, b, (b^2 - D)/(4A)).  A form is
+reduced when |sqrt D - 2|a|| < b < sqrt D.  The step rho sends the ideal of
+(a, b, c) to (b - sqrt D)/(2a) times it, the ideal of (c, b', c').  Repeated
+rho reduces every form, and it permutes the reduced ones; the reduced ideals
+of one wide class form exactly one cycle (Shanks, "The infrastructure of a
+real quadratic field", 1972; Buchmann-Vollmer, Binary Quadratic Forms, ch.
+6).  So one walk of the cycle of (1) decides principality and gives the
+fundamental unit, and counting cycles gives the class number.
+
+Elements of the order are pairs (x, y) standing for (x + y*sqrt D)/2.
+Everything here is integer arithmetic; isqrt stands in for sqrt D.
 """
 
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import ValidationError
 
@@ -23,32 +31,14 @@ def reduced_forms(D):
     """All reduced forms of discriminant D, sorted."""
     if D <= 0 or isqrt(D) ** 2 == D:
         raise ValidationError("discriminant must be positive and nonsquare")
-    s = isqrt(D)
-    out = []
-    for b in range(1, s + 1):
-        if (b - D) % 2:
-            continue
+    out = set()
+    for b in range(2 - D % 2, isqrt(D) + 1, 2):
         m = (D - b * b) // 4
-        if m <= 0:
-            continue
-        for a in _divisor_pairs(m):
-            for sa in (a, -a):
-                c = (-m) // sa
-                form = (sa, b, c)
-                if is_reduced(form, D):
-                    out.append(form)
-    return sorted(set(out))
-
-
-def _divisor_pairs(m):
-    out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            if d != m // d:
-                out.append(m // d)
-        d += 1
+        for a in range(1, isqrt(m) + 1):
+            if m % a == 0:
+                for sa in (a, -a, m // a, -(m // a)):
+                    if is_reduced((sa, b, -m // sa), D):
+                        out.add((sa, b, -m // sa))
     return sorted(out)
 
 
@@ -64,7 +54,7 @@ def rho_step(form, D):
 
 
 def hplus_form_cycles(D):
-    """Narrow class number of discriminant D: count rho-cycles."""
+    """Narrow class number of discriminant D: count rho-cycles of signed forms."""
     forms = reduced_forms(D)
     seen = set()
     cycles = 0
@@ -79,3 +69,102 @@ def hplus_form_cycles(D):
             if not is_reduced(g, D):
                 raise ArithmeticError(f"rho left the reduced set at {g}")
     return cycles
+
+
+def _ideal_rho(form, D):
+    """rho on ideals: the form of the image, with its first coefficient positive."""
+    a, b, c = rho_step(form, D)
+    return (a, b, c) if a > 0 else (-a, b, -c)
+
+
+def _times(z, b, s, m, D):
+    """z * (b + s*sqrt D)/(2m); the product must lie in the order."""
+    x, y = z
+    u, v = x * b + s * y * D, s * x + y * b
+    if u % (2 * m) or v % (2 * m):
+        raise ArithmeticError("a rho multiplier left the order")
+    return u // (2 * m), v // (2 * m)
+
+
+def _rho_cycle(start, D):
+    """The reduced ideals on the rho-cycle of start, beginning with start.
+
+    rho permutes the finite set of reduced forms, so the walk comes back.
+    """
+    form = start
+    while True:
+        if not is_reduced(form, D):
+            raise ArithmeticError(f"rho left the reduced set at {form}")
+        yield form
+        form = _ideal_rho(form, D)
+        if form == start:
+            return
+
+
+def _principal_cycle(D):
+    """(form, mu) around the cycle of (1), where (a, (b + sqrt D)/2) = mu*O;
+    then (1) again, with mu the product of the multipliers once around."""
+    b = isqrt(D)
+    b -= (b - D) % 2
+    one = (1, b, (b * b - D) // 4)
+    mu = (2, 0)
+    for form in _rho_cycle(one, D):
+        yield form, mu
+        mu = _times(mu, form[1], -1, form[0], D)
+    yield one, mu
+
+
+def ideal_generator(form, D):
+    """mu with (A, (b + sqrt D)/2) = mu*O for a primitive form (A, b, C),
+    A > 0, or None when that ideal is not principal.
+
+    The ideal is principal exactly when its reduced form lies on the cycle
+    of (1).  From the first reduction step on b lies in (sqrt D - 2|a|,
+    sqrt D), so every further step strictly lowers |a| until the form is
+    reduced.  The inverse multipliers (b + sqrt D)/(2c) of those steps are
+    applied last step first, so every partial product generates an
+    integral ideal.
+    """
+    steps = []
+    while not is_reduced(form, D):
+        steps.append(form)
+        form = _ideal_rho(form, D)
+    for g, mu in _principal_cycle(D):
+        if g == form:
+            for _, b, c in reversed(steps):
+                mu = _times(mu, b, 1, c, D)
+            return mu
+    return None
+
+
+def fundamental_unit(D):
+    """(x, y): the fundamental unit eps = (x + y*sqrt D)/2 > 1 of the order.
+
+    Once around the cycle of (1) is one period, so the product of the
+    multipliers is a unit +-eps^-1; each multiplier (b - sqrt D)/(2a) of a
+    reduced form lies in (-1, 0).  Its conjugate, a product of the factors
+    (b + sqrt D)/(2a) > 1, is eps itself.
+    """
+    *_, (_, (x, y)) = _principal_cycle(D)
+    return x, -y
+
+
+def wide_class_number(D):
+    """The wide class number of the order: rho-cycles of primitive reduced ideals."""
+    unseen = {
+        (abs(a), b, c if a > 0 else -c) for a, b, c in reduced_forms(D) if gcd(a, b, c) == 1
+    }
+    h = 0
+    while unseen:
+        h += 1
+        unseen.difference_update(_rho_cycle(min(unseen), D))
+    return h
+
+
+def power_basis(z, min_poly):
+    """Coordinates over 1, theta of z = (x + y*sqrt D)/2: sqrt D = 2*theta + c1."""
+    x, y = z
+    c1 = min_poly[1]
+    if (x + c1 * y) % 2:
+        raise ArithmeticError(f"{z} does not lie in Z[theta]")
+    return (x + c1 * y) // 2, y

@@ -1,17 +1,17 @@
 """Principal generator search for ideals of Z[theta].
 
-Degree 2 gets a complete decision procedure: a generator u + v*theta of an
-ideal of norm m satisfies the norm equation with |v| inside a window derived
-from the fundamental unit, so scanning v and testing a discriminant for
-squareness either finds a generator or proves none exists.  Higher degree
-falls back to bounded box enumeration and reports exhaustion honestly as
-inconclusive rather than as absence.
+Degree 2 gets a complete decision procedure from the rho-cycles of
+forms.py: an invertible ideal is principal exactly when its reduced form
+lies on the cycle of (1), and the rho multipliers along the way multiply
+to a generator.  Higher degree falls back to bounded box enumeration and
+reports exhaustion honestly as inconclusive rather than as absence.
 """
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd
 
 from .field import FieldDescriptor, element_norm
+from .forms import ideal_generator, power_basis
 from .ideals import IdealHNF, principal_ideal
 
 FOUND = "found"
@@ -43,46 +43,25 @@ def principal_generator(a: IdealHNF, F: FieldDescriptor):
     return _box_search(a, F, BOX_RADIUS)
 
 
-def _unit_height_bound(F: FieldDescriptor):
-    # crude bound on |fundamental unit| at any embedding; only growth matters
-    c0, c1 = F.min_poly[0], F.min_poly[1]
-    theta_bound = 1 + max(abs(c0), abs(c1))
-    e = F.fundamental_units[0]
-    return abs(e[0]) + abs(e[1]) * theta_bound
-
-
 def _quadratic_search(a: IdealHNF, F: FieldDescriptor):
-    """Scan the norm equation u^2 - c1*u*v + c0*v^2 = +-m over the v window.
+    """Decide principality by the rho-cycle of (1); not_found is a proof.
 
-    Any generator can be slid by unit powers until both embeddings are at
-    most sqrt(m) times the unit height bound, which caps |v| by the window
-    below; the scan is therefore exhaustive and not_found is a proof.
+    The HNF columns (c*A, 0) and (h, c) give a = c*(A, (b + sqrt D)/2) with
+    b = 2h/c - c1.  An imprimitive form (A, b, C) means a is not invertible,
+    so not principal; otherwise forms.ideal_generator decides.
     """
-    m = a.norm
     c0, c1 = F.min_poly[0], F.min_poly[1]
     D = c1 * c1 - 4 * c0
-    eb = _unit_height_bound(F)
-    v_bound = 2 * (isqrt(m) + 1) * eb
-    for v in range(v_bound + 1):
-        for sign in (1, -1):
-            delta = D * v * v + 4 * sign * m
-            if delta < 0:
-                continue
-            t = isqrt(delta)
-            if t * t != delta:
-                continue
-            for tt in (t, -t) if t else (0,):
-                num = c1 * v + tt
-                if num % 2:
-                    continue
-                u = num // 2
-                cand = (u, v)
-                # (-u, -v) generates the same ideal, so v >= 0 loses nothing
-                if cand == (0, 0) or not a.contains(cand):
-                    continue
-                if principal_ideal(cand, F) == a:
-                    return PrincipalSearchResult(FOUND, cand)
-    return PrincipalSearchResult(NOT_FOUND)
+    (cA, h), (_, c) = a.hnf
+    A, b = cA // c, 2 * (h // c) - c1
+    C = (b * b - D) // (4 * A)
+    mu = ideal_generator((A, b, C), D) if gcd(A, b, C) == 1 else None
+    if mu is None:
+        return PrincipalSearchResult(NOT_FOUND)
+    gen = tuple(c * t for t in power_basis(mu, F.min_poly))
+    if principal_ideal(gen, F) != a:
+        raise ArithmeticError(f"rho walk generator {gen} does not generate the ideal")
+    return PrincipalSearchResult(FOUND, gen)
 
 
 def _box_search(a: IdealHNF, F: FieldDescriptor, radius):

@@ -1,5 +1,8 @@
 """Unit group machinery: fundamental units, congruence unit subgroups, indices.
 
+The fundamental unit of a real quadratic field is the product of the rho
+multipliers once around the cycle of (1), from forms.py.
+
 The subgroup of totally positive units congruent to 1 modulo an ideal is
 computed as a kernel lattice: exponent vectors over (zeta, eps_1..eps_r) that
 die in the congruence-sign group.  Its Hermite basis gives deterministic free
@@ -18,6 +21,7 @@ from .abgroup import KernelLattice, kernel_of_map
 from .congruence import RESIDUE_ENUMERATION_CAP, CongruenceSignGroup, residue_sign_group
 from .errors import TorsionObstruction
 from .field import FieldDescriptor, element_mul, element_pow, element_unit_inverse
+from .forms import fundamental_unit, power_basis
 from .ideals import IdealHNF
 
 
@@ -26,33 +30,14 @@ def fundamental_unit_real_quadratic(d):
 
     The order is Z[theta] with theta^2 + c1*theta + c0 = 0, the min_poly of
     real_quadratic_field: theta = (1+sqrt d)/2 for d = 1 mod 4, else sqrt d.
-    A unit eps = x + y*theta > 1 has |x + y*theta'| = 1/eps, so (x - c1*y)/y
-    approximates theta = (-c1 + sqrt D)/2 to within 1/(eps*y^2); that is
-    below 1/(2y^2) because eps > 2y once D > 5 (for D = 5, eps = theta is the
-    first convergent 1/1), so by Legendre every such unit is a convergent
-    p/q of theta with x = p + c1*q, y = q.  Conversely a convergent of norm
-    +-1 has |x + y*theta'| < 1, so it is a power of eps, and the first one is
-    eps itself.
+    The unit is the product of the rho multipliers once around the cycle
+    of (1) (forms.fundamental_unit).
     """
-    if d <= 1:
-        raise ValueError("d must exceed 1")
-    c1, c0 = (-1, -(d - 1) // 4) if d % 4 == 1 else (0, -d)
-    D = c1 * c1 - 4 * c0
-    r = isqrt(D)
-    if r * r == D:
-        raise ValueError("d must not be a perfect square")
-    # complete quotient (P + sqrt D)/Q with Q > 0, and the last two convergents
-    P, Q = -c1, 2
-    p_prev, p, q_prev, q = 0, 1, 1, 0
-    while True:
-        a = (P + r) // Q
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        x, y = p + c1 * q, q
-        if x * x - c1 * x * y + c0 * y * y in (1, -1):
-            return (x, y)
-        P = a * Q - P
-        Q = (D - P * P) // Q
+    if d <= 1 or isqrt(d) ** 2 == d:
+        raise ValueError("d must exceed 1 and not be a perfect square")
+    if d % 4 == 1:
+        return power_basis(fundamental_unit(d), (-(d - 1) // 4, -1, 1))
+    return power_basis(fundamental_unit(4 * d), (-d, 0, 1))
 
 
 def unit_generators(F: FieldDescriptor):

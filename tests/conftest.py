@@ -89,3 +89,34 @@ def stages():
         return ray_class_group(ui), E, compute_tp(E, p, budget)
 
     return build
+
+
+@pytest.fixture(scope="session")
+def brute_ideals():
+    """(norm, hnf) of every ideal of a quadratic Z[theta] up to a norm bound:
+    the sublattices of Z + Z theta closed under theta, canonical HNF, by hand.
+
+    Basis columns (a, 0) and (b, d); membership of (x, y) is d | y and
+    a | x - (y // d) * b.  Closure under the ring needs theta * basis in the
+    lattice, nothing else.  Non-invertible ideals of a non-maximal order
+    are included.
+    """
+
+    def ideals_upto(F, bound):
+        c0, c1, _ = F.min_poly
+
+        def contains(a, b, d, x, y):
+            return y % d == 0 and (x - (y // d) * b) % a == 0
+
+        found = []
+        for a in range(1, bound + 1):
+            for d in range(1, bound // a + 1):
+                for b in range(a):
+                    if not contains(a, b, d, 0, a):
+                        continue
+                    if not contains(a, b, d, -c0 * d, b - c1 * d):
+                        continue
+                    found.append((a * d, ((a, b), (0, d))))
+        return sorted(found)
+
+    return ideals_upto

@@ -1,22 +1,21 @@
 """Class number oracles: reduced form cycles vs ideal enumeration, CRT checks."""
 
 import random
-from math import gcd
+from math import gcd, isqrt
 
 from torushecke.abgroup import ExponentGroup, closure_from_stream
 from torushecke.classnumber import (
     degree_one_primes_over,
     ideals_wide_equivalent,
     real_quadratic_field,
-    wide_class_number_real_quadratic,
     wide_class_of,
     wide_class_reps,
 )
 from torushecke.cli import moduli_upto
 from torushecke.congruence import residue_sign_group
-from torushecke.field import FieldDescriptor, element_mul, validate_descriptor
+from torushecke.field import FieldDescriptor, element_mul, poly_discriminant, validate_descriptor
 from torushecke.forms import hplus_form_cycles, is_reduced, reduced_forms, rho_step
-from torushecke.galois import is_prime
+from torushecke.galois import factor_int, is_prime
 from torushecke.ideals import (
     element_is_coprime_to,
     ideal_product,
@@ -28,13 +27,51 @@ from torushecke.primes import factor_prime, prime_ideals_over, prime_to_ideal
 from torushecke.rayclass import narrow_class_number
 
 
+def _closure_class_number(F):
+    """h_F by Minkowski-bound generation and exact pairwise equivalence.
+
+    Every class contains an integral ideal of norm <= sqrt(disc)/2, and any
+    such ideal factors into degree-1 primes within the same bound (inert
+    factors are principal), so closing the identity under products with
+    those primes visits every class.
+    """
+    bound = isqrt(poly_discriminant(F.min_poly)) // 2 + 1
+    ells = [ell for ell in range(2, bound + 1) if is_prime(ell)]
+    primes = [v for ell in ells for v in degree_one_primes_over(F, ell)]
+    reps = [unit_ideal(F)]
+    frontier = [unit_ideal(F)]
+    while frontier:
+        base = frontier.pop()
+        for q in primes:
+            cand = ideal_product(base, q, F)
+            if not any(ideals_wide_equivalent(cand, r, F) for r in reps):
+                reps.append(cand)
+                frontier.append(cand)
+    return len(reps)
+
+
 def test_wide_class_numbers():
     # classical values; d=10 and d=15 are the first nontrivial ones here
     expected = {2: 1, 3: 1, 5: 1, 6: 1, 7: 1, 10: 2, 11: 1, 13: 1, 15: 2}
     for d, h in expected.items():
         F = real_quadratic_field(d)
         assert F.class_number == h
-        assert wide_class_number_real_quadratic(F) == h
+        assert _closure_class_number(F) == h
+
+
+def test_cycle_class_numbers_match_the_closure_and_the_form_cycles():
+    """h from the ideal cycles against the product closure, and h+ of the
+    ray class group against the signed form cycles, for squarefree d < 1000."""
+    largest = 0
+    for d in range(2, 1000):
+        if max(factor_int(d).values()) > 1:
+            continue
+        F = real_quadratic_field(d)
+        assert _closure_class_number(F) == F.class_number, d
+        D = poly_discriminant(F.min_poly)
+        assert narrow_class_number(F) == hplus_form_cycles(D), d
+        largest = max(largest, F.class_number)
+    assert largest == 12
 
 
 def test_narrow_vs_wide_unit_norm_rule():

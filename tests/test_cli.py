@@ -53,35 +53,11 @@ REPORT_KEYS = [
 # ------------------------------------------------------------ ideal listing
 
 
-def _brute_ideals_upto(F, bound):
-    """Sublattices of Z + Z theta closed under theta, canonical HNF, by hand.
-
-    Basis columns (a, 0) and (b, d); membership of (x, y) is d | y and
-    a | x - (y // d) * b.  Closure under the ring needs theta * basis in the
-    lattice, nothing else.
-    """
-    c0, c1, _ = F.min_poly
-
-    def contains(a, b, d, x, y):
-        return y % d == 0 and (x - (y // d) * b) % a == 0
-
-    found = []
-    for a in range(1, bound + 1):
-        for d in range(1, bound // a + 1):
-            for b in range(a):
-                if not contains(a, b, d, 0, a):
-                    continue
-                if not contains(a, b, d, -c0 * d, b - c1 * d):
-                    continue
-                found.append((a * d, ((a, b), (0, d))))
-    return sorted(found)
-
-
-def test_moduli_upto_matches_brute_lattice_enumeration():
+def test_moduli_upto_matches_brute_lattice_enumeration(brute_ideals):
     for d in (2, 3, 5, 10):
         F = real_quadratic_field(d)
         got = sorted((n, a.hnf) for a, n in moduli_upto(F, 30))
-        assert got == _brute_ideals_upto(F, 30), d
+        assert got == brute_ideals(F, 30), d
 
 
 def test_moduli_of_norm(F2):
@@ -367,6 +343,59 @@ def test_cli_field_info(capsys):
     assert info["narrow_class_number"] == 1
     assert info["irreducibility_certificate_prime"] == 3
     assert info["provenance"] == "native"
+
+
+def test_cli_field_info_beyond_the_old_class_closure(capsys):
+    # the product closure ran past its norm cap here and exited 2
+    assert main(["field", "info", "--d", "1111"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert (info["class_number"], info["narrow_class_number"]) == (10, 20)
+
+
+# sha256 of stdout for fields with h > 1 or a large unit, as computed at
+# f16ffbd, before principality, class number and unit came from rho-cycles
+RHO_CYCLE_SHA256 = {
+    "field info --d 223": "7c0d8d0ba10c1dedcb561fd430a2c5edc65a89a739d19c3fa697f41987343c88",
+    "field info --d 399": "5c988eba192a7d1455c07e5fbfd5ab1a120ead8d136836b1c0ea66a4c092edc4",
+    "field info --d 646": "b8469a985de87c4cb6835471a2ca19d0a6eebcb1cd1644948ddc3ea03832594b",
+    "field info --d 1009": "74dbcd0606795a52aac66d0c253e89fef1ad0619b55c7457cc4a60f0f68d4e12",
+    "field info --d 2730": "32a718125fd51b6c4973469a984e203806478e4183feb64fdd4510e84fb7f62d",
+    "verify --d 223 --modulus-norm 20 --prime 5": (
+        "662b1684cf191742394bdbc1f5b909b9e54d88989e6845730a98cfc29ac97240"
+    ),
+    "verify --d 79 --d 229 --modulus-norm 30 --format csv": (
+        "ef4f71a9e38af692b9771605463dc8480affef77e42b487bb596aeaa24a23077"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(RHO_CYCLE_SHA256))
+def test_class_group_output_is_byte_identical(argv, capsys):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == RHO_CYCLE_SHA256[argv]
+
+
+@pytest.mark.parametrize(
+    "descriptor, argv",
+    [
+        # eps^2 for Q(sqrt2): h_plus read 2 at norm 1, where it is 1
+        ({"min_poly": [-2, 0, 1], "fundamental_units": [[3, 2]], "class_number": 1},
+         ["--modulus-norm", "14", "--prime", "3", "--prime", "5"]),
+        # Q(sqrt10) has class number 2: h_plus read 1 at norm 1, where it is 2
+        ({"min_poly": [-10, 0, 1], "fundamental_units": [[3, 1]], "class_number": 1},
+         ["--modulus-norm", "6", "--prime", "5"]),
+    ],
+    ids=["sqrt2-eps-squared", "sqrt10-class-number-1"],
+)
+def test_cli_refuses_a_wrong_real_quadratic_descriptor(tmp_path, capsys, descriptor, argv):
+    common = {"label": "bad", "signature": [2, 0], "torsion": {"order": 2, "generator": [-1, 0]}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**common, **descriptor}))
+    assert main(["verify", "--descriptor", str(path), *argv, "--format", "csv"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ValidationError" in captured.err
 
 
 # sha256 of `verify --modulus-norm 13 --prime P --format csv` for P = 3, 5, 7,

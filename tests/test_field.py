@@ -32,6 +32,14 @@ GOOD = {
     "class_number": 1,
 }
 
+SQRT10 = {
+    **GOOD,
+    "label": "Q(sqrt10)",
+    "min_poly": [-10, 0, 1],
+    "fundamental_units": [[3, 1]],
+    "class_number": 2,
+}
+
 
 def test_load_descriptor_roundtrip(tmp_path):
     path = tmp_path / "f.json"
@@ -67,11 +75,22 @@ def _mutate(**kw):
         _mutate(fundamental_units=[[2, 0]]),  # norm 4 is not a unit
         _mutate(class_number=0),
         {"label": "x"},  # missing keys
+        _mutate(fundamental_units=[[3, 2]]),  # eps^2 is a unit but not fundamental
+        _mutate(class_number=2),  # Q(sqrt2) has class number 1
+        {**SQRT10, "class_number": 1},  # the true class number is 2
     ],
 )
 def test_validate_rejects(bad):
     with pytest.raises(ValidationError):
         load_descriptor(bad)
+
+
+def test_validate_accepts_the_fundamental_unit_up_to_sign_and_inverse():
+    # 1 + sqrt2 and sqrt2 - 1 = (1 + sqrt2)^-1, with both signs
+    for unit in ([1, 1], [-1, -1], [-1, 1], [1, -1]):
+        F = load_descriptor(_mutate(fundamental_units=[unit]))
+        assert F.fundamental_units == (tuple(unit),)
+    assert load_descriptor(SQRT10).class_number == 2
 
 
 def test_signs_golden(F2):

@@ -5,9 +5,23 @@ from math import isqrt
 
 import pytest
 
+from torushecke.classnumber import degree_one_primes_over, real_quadratic_field
 from torushecke.errors import TorsionObstruction
-from torushecke.field import element_mul, element_norm, is_totally_positive
-from torushecke.ideals import principal_ideal, rational_ideal, unit_ideal
+from torushecke.field import (
+    FieldDescriptor,
+    element_mul,
+    element_norm,
+    is_totally_positive,
+    validate_descriptor,
+)
+from torushecke.ideals import (
+    IdealHNF,
+    conjugate_ideal,
+    ideal_product,
+    principal_ideal,
+    rational_ideal,
+    unit_ideal,
+)
 from torushecke.primes import factor_prime, prime_to_ideal
 from torushecke.principal import FOUND, NOT_FOUND, principal_generator
 from torushecke.units import (
@@ -72,6 +86,39 @@ def test_fundamental_unit_against_norm_equation_search():
             assert _pell_fundamental(d) == _brute_pell(d), d
 
 
+def _continued_fraction_unit(min_poly):
+    """The first continued-fraction convergent p/q of theta = (-c1 + sqrt D)/2
+    with x + y*theta of norm +-1, where x = p + c1*q and y = q.
+
+    A unit eps = x + y*theta > 1 has |x + y*theta'| = 1/eps, so (x - c1*y)/y
+    approximates theta to within 1/(eps*y^2) < 1/(2y^2); by Legendre it is a
+    convergent, and the first convergent of norm +-1 is eps itself.
+    """
+    c0, c1 = min_poly[0], min_poly[1]
+    D = c1 * c1 - 4 * c0
+    r = isqrt(D)
+    # complete quotient (P + sqrt D)/Q with Q > 0, and the last two convergents
+    P, Q = -c1, 2
+    p_prev, p, q_prev, q = 0, 1, 1, 0
+    while True:
+        a = (P + r) // Q
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        x, y = p + c1 * q, q
+        if x * x - c1 * x * y + c0 * y * y in (1, -1):
+            return (x, y)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+
+
+def test_rho_walk_unit_matches_the_continued_fraction():
+    for d in range(2, 2000):
+        if isqrt(d) ** 2 == d:
+            continue
+        min_poly = (-(d - 1) // 4, -1, 1) if d % 4 == 1 else (-d, 0, 1)
+        assert fundamental_unit_real_quadratic(d) == _continued_fraction_unit(min_poly), d
+
+
 def test_fundamental_unit_goldens():
     assert fundamental_unit_real_quadratic(2) == (1, 1)
     assert fundamental_unit_real_quadratic(3) == (2, 1)
@@ -109,6 +156,72 @@ def test_principal_generator_not_found(F10):
     # but their squares times conjugates etc. can be; (3) itself is
     res = principal_generator(rational_ideal(3, F10), F10)
     assert res.status == FOUND
+
+
+def _window_scan(a, F):
+    """Scan the norm equation u^2 - c1*u*v + c0*v^2 = +-m over the v window.
+
+    Any generator can be slid by unit powers until both embeddings are at
+    most sqrt(m) times the unit height bound, which caps |v| by the window
+    below; the scan is therefore exhaustive and not_found is a proof.
+    """
+    m = a.norm
+    c0, c1 = F.min_poly[0], F.min_poly[1]
+    D = c1 * c1 - 4 * c0
+    e = F.fundamental_units[0]
+    height = abs(e[0]) + abs(e[1]) * (1 + max(abs(c0), abs(c1)))
+    for v in range(2 * (isqrt(m) + 1) * height + 1):
+        for sign in (1, -1):
+            delta = D * v * v + 4 * sign * m
+            if delta < 0:
+                continue
+            t = isqrt(delta)
+            if t * t != delta:
+                continue
+            for tt in (t, -t) if t else (0,):
+                num = c1 * v + tt
+                if num % 2:
+                    continue
+                # (-u, -v) generates the same ideal, so v >= 0 loses nothing
+                cand = (num // 2, v)
+                if cand != (0, 0) and a.contains(cand) and principal_ideal(cand, F) == a:
+                    return FOUND
+    return NOT_FOUND
+
+
+def _order(min_poly):
+    """Descriptor of a non-maximal order Z[sqrt n], unit from the continued fraction."""
+    F = FieldDescriptor(
+        label=f"Z[sqrt{-min_poly[0]}]",
+        min_poly=min_poly,
+        signature=(2, 0),
+        torsion_order=2,
+        torsion_generator=(-1, 0),
+        fundamental_units=(_continued_fraction_unit(min_poly),),
+        class_number=1,
+        provenance="ingested",
+    )
+    validate_descriptor(F)
+    return F
+
+
+def test_rho_walk_decides_principality_like_the_window_scan(brute_ideals):
+    """Every ideal of norm <= 30 and every a*conj(b) over degree-one primes
+    up to 13, including non-invertible ideals of non-maximal orders."""
+    fields = [real_quadratic_field(d) for d in (2, 3, 5, 6, 7, 10, 11, 13, 15, 79, 223, 229)]
+    fields += [_order(min_poly) for min_poly in ((-5, 0, 1), (-12, 0, 1), (-45, 0, 1))]
+    statuses = []
+    for F in fields:
+        ideals = [IdealHNF(hnf) for _, hnf in brute_ideals(F, 30)]
+        primes = [v for ell in (2, 3, 5, 7, 11, 13) for v in degree_one_primes_over(F, ell)]
+        ideals += [ideal_product(a, conjugate_ideal(b, F), F) for a in primes for b in primes]
+        for a in ideals:
+            res = principal_generator(a, F)
+            assert res.status == _window_scan(a, F), (F.label, a)
+            if res.found:
+                assert principal_ideal(res.generator, F) == a
+            statuses.append(res.status)
+    assert (len(statuses), statuses.count(NOT_FOUND)) == (885, 292)
 
 
 def test_unit_power_product(F2):
