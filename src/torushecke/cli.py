@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 from .classnumber import real_quadratic_field
 from .congruence import RESIDUE_ENUMERATION_CAP
@@ -72,29 +73,46 @@ def moduli_of_norm(F: FieldDescriptor, norm):
 # ---------------------------------------------------------------- reports
 
 
-def assemble_report(
-    F: FieldDescriptor,
-    modulus: IdealHNF,
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-    cap: int = RESIDUE_ENUMERATION_CAP,
-):
-    """Full per-configuration report, each stage built once and handed on.
+@dataclass(frozen=True)
+class ModulusStages:
+    """The stages of one modulus that do not depend on p, each built on first
+    use and then shared by every prime: the unit image O^x -> (O/m)^x x signs
+    (cap bounds its residue enumeration) and the narrow ray class group G.
 
-    Unit image, then E, then the t_p scan (raising BudgetShortfall if it
-    falls short), then the ray class group G, the pairing report and the
-    eigensystem census.  cap bounds the residue enumeration.
+    A stage that raises is not kept, so each prime that asks for it again
+    meets the same error.
     """
-    ui = unit_image_in_modulus(F, modulus, cap)
-    E = e_units(ui, p)
+
+    field: FieldDescriptor
+    modulus: IdealHNF
+    cap: int = RESIDUE_ENUMERATION_CAP
+
+    @cached_property
+    def image(self):
+        return unit_image_in_modulus(self.field, self.modulus, self.cap)
+
+    @cached_property
+    def group(self):
+        return ray_class_group(self.image)
+
+
+def assemble_report(stages: ModulusStages, p: int, budget: int = DEFAULT_BUDGET):
+    """Full report of one configuration, each stage built once and handed on.
+
+    The unit image, then E, then the t_p scan (raising BudgetShortfall if it
+    falls short), then the ray class group G, the pairing report and the
+    eigensystem census.  The unit image and G come from stages, so a prime
+    that falls short never builds G.
+    """
+    E = e_units(stages.image, p)
     scan = compute_tp(E, p, budget)
     scan.require_target()
-    G = ray_class_group(ui)
+    G = stages.group
     psi = psi_report(G, E, scan)
     eig = eigensystem_report(G, scan)
     report = {
-        "field": F.label,
-        "modulus_norm": modulus.norm,
+        "field": stages.field.label,
+        "modulus_norm": stages.modulus.norm,
         "p": p,
         "r": psi.r,
         "r_p": psi.r_p,
@@ -140,16 +158,10 @@ def named_checks(report):
     return checks
 
 
-def run_invariants(
-    F: FieldDescriptor,
-    modulus: IdealHNF,
-    p: int,
-    budget: int = DEFAULT_BUDGET,
-    cap: int = RESIDUE_ENUMERATION_CAP,
-):
+def run_invariants(stages: ModulusStages, p: int, budget: int = DEFAULT_BUDGET):
     """Report dict; raises ArithmeticError if the rank identity or the
     pairing dimensions fail."""
-    _, _, report = assemble_report(F, modulus, p, budget, cap)
+    _, _, report = assemble_report(stages, p, budget)
     # rank-identity and pairing-dimensions come first: they hold whatever
     # the hypothesis
     for name, ok in named_checks(report)[:2]:
@@ -158,15 +170,9 @@ def run_invariants(
     return report
 
 
-def verify_config(
-    F: FieldDescriptor,
-    modulus: IdealHNF,
-    p: int,
-    budget: int,
-    cap: int = RESIDUE_ENUMERATION_CAP,
-):
+def verify_config(stages: ModulusStages, p: int, budget: int):
     """Named pass/fail checks for one configuration, and its report."""
-    _, _, report = assemble_report(F, modulus, p, budget, cap)
+    _, _, report = assemble_report(stages, p, budget)
     return named_checks(report), report
 
 
@@ -184,32 +190,34 @@ class SweepConfig:
 def run_verify(sweep: SweepConfig):
     """(exit code, aggregated report) over every sweep configuration.
 
+    Rows come field by field, then by p, then by modulus.  The loop runs
+    modulus-outer, so the unit image and G of a modulus are built once for
+    all its primes and only one modulus's G is alive at a time.
+
     A configuration that raises a package error, ArithmeticError or
     ValueError is recorded in its own row under "error" and the sweep goes
     on: a budget or cap that ran out, or an inconclusive search, makes the
     exit code 2, any other error (like a failed check) makes it 1.
     """
     results = []
-    failures = []
     ran_out = False
     errored = False
     for F in sweep.fields:
-        pairs = moduli_upto(F, sweep.modulus_norm_bound)
-        for p in sweep.primes:
-            for modulus, norm in pairs:
+        by_prime = [[] for _ in sweep.primes]
+        for modulus, norm in moduli_upto(F, sweep.modulus_norm_bound):
+            stages = ModulusStages(F, modulus, sweep.cap_residue)
+            for p, rows in zip(sweep.primes, by_prime):
                 if norm % p == 0:
                     continue
                 hnf = [list(r) for r in modulus.hnf]
                 try:
-                    checks, report = verify_config(
-                        F, modulus, p, sweep.budget, sweep.cap_residue
-                    )
+                    checks, report = verify_config(stages, p, sweep.budget)
                 except (TorusHeckeError, ArithmeticError, ValueError) as e:
                     if isinstance(e, RAN_OUT):
                         ran_out = True
                     else:
                         errored = True
-                    results.append(
+                    rows.append(
                         {
                             "field": F.label,
                             "modulus_norm": norm,
@@ -221,18 +229,22 @@ def run_verify(sweep: SweepConfig):
                     continue
                 report["modulus_hnf"] = hnf
                 report["checks"] = {name: ok for name, ok in checks}
-                results.append(report)
-                for name, ok in checks:
-                    if not ok:
-                        failures.append(
-                            {
-                                "field": F.label,
-                                "modulus_norm": norm,
-                                "modulus_hnf": hnf,
-                                "p": p,
-                                "check": name,
-                            }
-                        )
+                rows.append(report)
+        for rows in by_prime:
+            results.extend(rows)
+    failures = [
+        {
+            "field": row["field"],
+            "modulus_norm": row["modulus_norm"],
+            "modulus_hnf": row["modulus_hnf"],
+            "p": row["p"],
+            "check": name,
+        }
+        for row in results
+        if "error" not in row
+        for name, ok in row["checks"].items()
+        if not ok
+    ]
     code = 0
     if failures or errored:
         code = 1
@@ -304,7 +316,10 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _flag_even_prime(p):
+def _check_prime(p):
+    """Refuse a --prime that is not prime; flag p = 2 on stderr."""
+    if not is_prime(p):
+        raise ValidationError(f"--prime {p} is not a prime")
     if p == 2:
         print(
             "note: p = 2 engages the torsion coordinate; expect delta_2 > 0 "
@@ -337,8 +352,8 @@ def cmd_field_info(args):
 
 
 def cmd_invariants(args):
+    _check_prime(args.prime)
     F = _field_from_args(args)
-    _flag_even_prime(args.prime)
     moduli = moduli_of_norm(F, args.modulus_norm)
     if not moduli:
         print(f"no integral ideal has norm {args.modulus_norm}", file=sys.stderr)
@@ -351,20 +366,23 @@ def cmd_invariants(args):
                 file=sys.stderr,
             )
             continue
-        reports.append(run_invariants(F, modulus, args.prime, args.budget, args.cap_residue))
+        stages = ModulusStages(F, modulus, args.cap_residue)
+        reports.append(run_invariants(stages, args.prime, args.budget))
     _emit(render_reports(reports, args.format), args.out)
     return 0
 
 
 def cmd_verify(args):
+    primes = tuple(args.prime or (3, 5, 7))
+    for p in primes:
+        _check_prime(p)
+    if args.modulus_norm < 1:
+        raise ValidationError(f"--modulus-norm {args.modulus_norm} is below 1")
     fields = []
     if args.descriptor:
         fields.append(load_descriptor(args.descriptor))
     for d in args.d or []:
         fields.append(real_quadratic_field(d))
-    primes = tuple(args.prime or (3, 5, 7))
-    for p in primes:
-        _flag_even_prime(p)
     sweep = SweepConfig(
         fields=tuple(fields),
         modulus_norm_bound=args.modulus_norm,
@@ -382,8 +400,8 @@ def cmd_verify(args):
 
 
 def cmd_scan_primes(args):
+    _check_prime(args.prime)
     F = _field_from_args(args)
-    _flag_even_prime(args.prime)
     lines = []
     for modulus in moduli_of_norm(F, args.modulus_norm):
         if modulus.norm % args.prime == 0:
@@ -401,8 +419,8 @@ def cmd_scan_primes(args):
 
 
 def cmd_spanning_set(args):
+    _check_prime(args.prime)
     F = _field_from_args(args)
-    _flag_even_prime(args.prime)
     scan = spanning_set(F, args.prime, args.budget)
     payload = {
         "field": F.label,

@@ -14,10 +14,11 @@ import pytest
 from torushecke import cli, congruence, eigen, field, hecke, ideals, rayclass, units
 from torushecke.abgroup import ExponentGroup
 from torushecke.classnumber import real_quadratic_field
-from torushecke.errors import CapExceeded, Inconclusive
+from torushecke.errors import RAN_OUT, BudgetShortfall, CapExceeded, Inconclusive, TorusHeckeError
 from torushecke.intlinalg import hnf_reduce
 from torushecke.cli import (
     CSV_HEADER,
+    ModulusStages,
     SweepConfig,
     main,
     moduli_of_norm,
@@ -90,7 +91,7 @@ def test_moduli_are_duplicate_free(F3):
 
 
 def test_run_invariants_record_and_key_order(F2, seven2):
-    report = run_invariants(F2, seven2, 5)
+    report = run_invariants(ModulusStages(F2, seven2), 5)
     assert [report[k] for k in ("r", "r_p", "delta_p", "t_p")] == [1, 1, 0, 1]
     assert (report["h_plus"], report["index"]) == (12, 12)
     assert list(report) == REPORT_KEYS
@@ -100,7 +101,7 @@ def test_run_invariants_record_and_key_order(F2, seven2):
 
 
 def test_csv_row_golden(F2, one2):
-    report = run_invariants(F2, one2, 5)
+    report = run_invariants(ModulusStages(F2, one2), 5)
     header, row = render_reports([report], "csv").splitlines()
     assert (header, row) == (CSV_HEADER, "Q(sqrt2),1,5,1,1,0,1,1,4,true,true,true")
     assert len(CSV_HEADER.split(",")) == len(report_to_csv_row(report))
@@ -108,7 +109,7 @@ def test_csv_row_golden(F2, one2):
 
 def test_csv_quotes_a_descriptor_label_with_separators(F2, one2):
     label = 'Q(sqrt2), "ingested"\nsecond line'
-    report = run_invariants(replace(F2, label=label), one2, 5)
+    report = run_invariants(ModulusStages(replace(F2, label=label), one2), 5)
     header, row = csv.reader(io.StringIO(render_reports([report], "csv")))
     assert header == CSV_HEADER.split(",")
     assert len(row) == 12 and row[0] == label
@@ -178,11 +179,49 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
     for name, fn in stages.items():
         _patch_every_binding_site(monkeypatch, fn, counting(name, fn))
 
-    run_invariants(F2, seven2, 5)
+    run_invariants(ModulusStages(F2, seven2), 5)
     assert calls == expected
     calls.update(dict.fromkeys(stages, 0))
-    verify_config(F2, seven2, 5, 50)
+    verify_config(ModulusStages(F2, seven2), 5, 50)
     assert calls == expected
+
+    # a sweep builds the unit image and G once per modulus, shared by its primes
+    configs = []
+    checked = cli.verify_config
+
+    def counting_config(stages, p, budget):
+        configs.append((stages.modulus.hnf, p))
+        return checked(stages, p, budget)
+
+    monkeypatch.setattr(cli, "verify_config", counting_config)
+    calls.update(dict.fromkeys(stages, 0))
+    primes = (3, 5, 7)
+    code, agg = run_verify(SweepConfig(fields=(F2,), modulus_norm_bound=21, primes=primes))
+    assert code == 0
+    pairs = moduli_upto(F2, 21)
+    per_config = sorted((a.hnf, p) for a, n in pairs for p in primes if n % p)
+    per_modulus = sum(1 for _, n in pairs if any(n % p for p in primes))
+    # (3), of norm 9, is coprime to 5 and 7 only; the primes over 7 to 3 and 5
+    assert len(per_config) == agg["configurations"] > per_modulus > 0
+    assert sorted(configs) == per_config
+    assert calls == {
+        "e_units": len(per_config),
+        "residue_sign_group": per_modulus,
+        "ray_class_group": per_modulus,
+        "compute_tp": len(per_config),
+        "psi_report": len(per_config),
+        "eigensystem_report": len(per_config),
+        "unit_power_product": 0,
+    }
+
+
+def test_a_prime_that_falls_short_builds_no_ray_class_group(monkeypatch, F2, one2):
+    def no_group(ui):
+        raise AssertionError("G was built for a scan that fell short")
+
+    monkeypatch.setattr(cli, "ray_class_group", no_group)
+    with pytest.raises(BudgetShortfall):
+        verify_config(ModulusStages(F2, one2), 5, 0)
 
 
 def test_residue_group_enumerates_only_its_primary_components(monkeypatch, F2):
@@ -246,7 +285,7 @@ def test_large_index_signs_only_small_elements(monkeypatch, F2):
         return real_signs(x, F)
 
     _patch_every_binding_site(monkeypatch, real_signs, recording)
-    report = run_invariants(F2, modulus, 5)
+    report = run_invariants(ModulusStages(F2, modulus), 5)
     assert report["index"] == 860
     assert bits and max(bits) < 16
 
@@ -276,10 +315,10 @@ def test_pairing_dimensions_can_fail(monkeypatch, capsys):
 def test_verify_inconclusive_configuration_exits_two(monkeypatch, capsys):
     checked = cli.verify_config
 
-    def inconclusive_at_norm_two(F, modulus, p, budget, cap):
-        if modulus.norm == 2:
+    def inconclusive_at_norm_two(stages, p, budget):
+        if stages.modulus.norm == 2:
             raise Inconclusive("principal generator search was inconclusive")
-        return checked(F, modulus, p, budget, cap)
+        return checked(stages, p, budget)
 
     monkeypatch.setattr(cli, "verify_config", inconclusive_at_norm_two)
     assert main(["verify", "--d", "2", "--prime", "5", "--modulus-norm", "2"]) == 2
@@ -328,6 +367,118 @@ def test_run_verify_skips_noncoprime_moduli(F3):
     )
     assert code == 0
     assert [r["modulus_norm"] for r in agg["results"]] == [1, 2, 4]
+
+
+# ------------------------------------------------------- p-major sweep oracle
+
+
+def p_major_verify(sweep):
+    """run_verify as it was before the stages of a modulus were shared: the
+    p-major loop with one assemble_report, from fresh stages, per
+    configuration."""
+    results = []
+    failures = []
+    ran_out = False
+    errored = False
+    for F in sweep.fields:
+        pairs = moduli_upto(F, sweep.modulus_norm_bound)
+        for p in sweep.primes:
+            for modulus, norm in pairs:
+                if norm % p == 0:
+                    continue
+                hnf = [list(r) for r in modulus.hnf]
+                head = {"field": F.label, "modulus_norm": norm, "modulus_hnf": hnf, "p": p}
+                try:
+                    stages = ModulusStages(F, modulus, sweep.cap_residue)
+                    _, _, report = cli.assemble_report(stages, p, sweep.budget)
+                    checks = cli.named_checks(report)
+                except (TorusHeckeError, ArithmeticError, ValueError) as e:
+                    ran_out |= isinstance(e, RAN_OUT)
+                    errored |= not isinstance(e, RAN_OUT)
+                    results.append(head | {"error": f"{type(e).__name__}: {e}"})
+                    continue
+                report["modulus_hnf"] = hnf
+                report["checks"] = {name: ok for name, ok in checks}
+                results.append(report)
+                failures += [head | {"check": name} for name, ok in checks if not ok]
+    code = 2 if ran_out else 1 if failures or errored else 0
+    aggregated = {
+        "configurations": len(results),
+        "failures": failures,
+        "pass": code == 0,
+        "results": results,
+    }
+    return code, aggregated
+
+
+def assert_matches_p_major_oracle(sweep):
+    code, agg = run_verify(sweep)
+    want_code, want = p_major_verify(sweep)
+    assert code == want_code
+    # byte-identical as the CLI prints it, key order included
+    assert json.dumps(agg, indent=2) == json.dumps(want, indent=2)
+    return code, agg
+
+
+def test_run_verify_matches_the_p_major_loop_on_the_criterion_4_fields():
+    fields = tuple(real_quadratic_field(d) for d in (2, 3, 5, 6, 7, 10, 11, 13))
+    code, agg = assert_matches_p_major_oracle(
+        SweepConfig(fields=fields, modulus_norm_bound=50, primes=(3, 5, 7))
+    )
+    assert code == 0 and agg["configurations"] == 794
+
+
+def test_run_verify_matches_the_p_major_loop_with_class_number_three():
+    fields = (real_quadratic_field(79), real_quadratic_field(229))
+    code, agg = assert_matches_p_major_oracle(
+        SweepConfig(fields=fields, modulus_norm_bound=30, primes=(3, 5, 7))
+    )
+    assert code == 0 and agg["configurations"] == 172
+
+
+def test_run_verify_matches_the_p_major_loop_on_the_cubics(cubic_descriptors):
+    fields = tuple(field.load_descriptor(c) for c in cubic_descriptors)
+    code, agg = assert_matches_p_major_oracle(
+        SweepConfig(fields=fields, modulus_norm_bound=13, primes=(3, 5, 7))
+    )
+    assert code == 0
+    assert {row["t_p"] for row in agg["results"]} == {1, 2}
+
+
+def test_run_verify_matches_the_p_major_loop_when_a_stage_raises(monkeypatch, F2, F3):
+    built = cli.ray_class_group
+
+    def refuse_sqrt2(ui):
+        if ui.csg.field.label == "Q(sqrt2)":
+            raise ValueError("no ray class group here")
+        return built(ui)
+
+    monkeypatch.setattr(cli, "ray_class_group", refuse_sqrt2)
+    code, agg = assert_matches_p_major_oracle(
+        SweepConfig(fields=(F2, F3), modulus_norm_bound=10, primes=(3, 5, 7))
+    )
+    assert code == 1
+    broken = [r for r in agg["results"] if r["field"] == "Q(sqrt2)"]
+    # every (modulus, p) of Q(sqrt2) has its own error row
+    assert len(broken) == sum(1 for _, n in moduli_upto(F2, 10) for p in (3, 5, 7) if n % p)
+    assert all(r["error"] == "ValueError: no ray class group here" for r in broken)
+
+
+def test_run_verify_matches_the_p_major_loop_when_the_cap_runs_out(F2):
+    code, agg = assert_matches_p_major_oracle(
+        SweepConfig(fields=(F2,), modulus_norm_bound=10, primes=(3, 5, 7), cap_residue=2)
+    )
+    assert code == 2
+    errors = [(r["modulus_hnf"], r["p"]) for r in agg["results"] if "error" in r]
+    # each prime of a modulus with a component above the cap has its own row
+    capped = [
+        ([list(r) for r in a.hnf], p)
+        for p in (3, 5, 7)
+        for a, n in moduli_upto(F2, 10)
+        if n % p and n > 2
+    ]
+    assert errors == capped
+    assert all(r["error"].startswith("CapExceeded: ") for r in agg["results"] if "error" in r)
 
 
 # ---------------------------------------------------------------- CLI verbs
@@ -575,6 +726,39 @@ def test_cli_flags_only_on_the_verbs_that_read_them():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+def no_field_work(d):
+    raise AssertionError("a field was built before the flags were checked")
+
+
+@pytest.mark.parametrize("bad", [0, 1, 4, 9])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--d", "2", "--prime"],
+        ["verify", "--d", "2", "--modulus-norm", "3", "--prime", "5", "--prime"],
+        ["scan-primes", "--d", "2", "--prime"],
+        ["spanning-set", "--d", "2", "--prime"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_refuses_a_prime_that_is_not_prime(monkeypatch, capsys, argv, bad):
+    monkeypatch.setattr(cli, "real_quadratic_field", no_field_work)
+    assert main(argv + [str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ValidationError: --prime {bad} is not a prime\n"
+
+
+def test_cli_verify_refuses_a_modulus_norm_below_one(monkeypatch, capsys):
+    # the unit ideal would be swept as the one modulus of "norm <= 0"
+    monkeypatch.setattr(cli, "real_quadratic_field", no_field_work)
+    for bad in ("0", "-4"):
+        assert main(["verify", "--d", "2", "--modulus-norm", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ValidationError: --modulus-norm {bad} is below 1\n"
 
 
 def test_cli_cap_residue_must_be_positive():
