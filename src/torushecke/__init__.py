@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .classnumber import real_quadratic_field
 from .congruence import residue_sign_group
-from .cli import ModulusStages, SweepConfig, moduli_upto, run_invariants, run_verify
+from .cli import FieldStages, ModulusStages, SweepConfig, moduli_upto, run_invariants, run_verify
 from .eigen import EigenReport, eigensystem_report
 from .errors import (
     BudgetShortfall,
@@ -56,6 +56,7 @@ __all__ = [
     "EUnits",
     "EigenReport",
     "FieldDescriptor",
+    "FieldStages",
     "GeneratorError",
     "HeckeElement",
     "IdealHNF",

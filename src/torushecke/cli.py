@@ -16,7 +16,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .classnumber import real_quadratic_field
 from .congruence import RESIDUE_ENUMERATION_CAP
@@ -24,9 +24,9 @@ from .eigen import eigensystem_report
 from .errors import RAN_OUT, TorusHeckeError, ValidationError
 from .field import FieldDescriptor, load_descriptor, poly_discriminant
 from .galois import factor_int, is_prime
-from .hecke import compute_tp, psi_report, scan_t1, spanning_set
+from .hecke import ScanRows, compute_tp, psi_report, scan_t1, spanning_set
 from .ideals import IdealHNF, ideal_product, unit_ideal
-from .primes import balanced_coeffs, prime_ideal_blocks
+from .primes import balanced_coeffs, prime_ideals_over
 from .rayclass import narrow_class_number, ray_class_group
 from .units import e_units, unit_image_in_modulus
 
@@ -56,21 +56,58 @@ def _products_upto(F: FieldDescriptor, blocks, bound):
     return items
 
 
-def moduli_upto(F: FieldDescriptor, bound):
+def _prime_blocks(F: FieldDescriptor, ells, bound, primes_over):
+    """(ideal, norm) for every prime over the ells with norm <= bound, read
+    off primes_over (FieldStages.prime_ideals_over), or off
+    prime_ideals_over when it is None."""
+    if primes_over is None:
+        primes_over = partial(prime_ideals_over, F)
+    return [(a, n) for ell in ells for a, n in primes_over(ell) if n <= bound]
+
+
+def moduli_upto(F: FieldDescriptor, bound, primes_over=None):
     """All integral ideals of norm <= bound, by prime factorization."""
     ells = [ell for ell in range(2, bound + 1) if is_prime(ell)]
-    return _products_upto(F, prime_ideal_blocks(F, ells, bound), bound)
+    return _products_upto(F, _prime_blocks(F, ells, bound, primes_over), bound)
 
 
-def moduli_of_norm(F: FieldDescriptor, norm):
+def moduli_of_norm(F: FieldDescriptor, norm, primes_over=None):
     """All integral ideals of norm exactly norm, from the primes over its
     rational prime divisors only."""
     ells = sorted(factor_int(norm)) if norm > 0 else []
-    blocks = prime_ideal_blocks(F, ells, norm)
+    blocks = _prime_blocks(F, ells, norm, primes_over)
     return [a for a, n in _products_upto(F, blocks, norm) if n == norm]
 
 
 # ---------------------------------------------------------------- reports
+
+
+class FieldStages:
+    """The stages of one field that do not depend on the modulus, each built
+    on first use and then shared by every modulus of the field: the scan
+    rows of each p (hecke.ScanRows: the degree-1 scan primes and their
+    characters on the global units) and the prime ideals over each rational
+    prime ell (for the moduli listing and the residue groups).
+
+    It lives for one CLI call.  A prime list whose construction raises is
+    not kept, and ScanRows keeps no row that raised, so each configuration
+    that asks again meets the same error.
+    """
+
+    def __init__(self, field: FieldDescriptor):
+        self.field = field
+        self._scan_rows = {}
+        self._primes_over = {}
+
+    def scan_rows(self, p):
+        if p not in self._scan_rows:
+            self._scan_rows[p] = ScanRows(self.field, p)
+        return self._scan_rows[p]
+
+    def prime_ideals_over(self, ell):
+        if ell not in self._primes_over:
+            self._primes_over[ell] = tuple(prime_ideals_over(self.field, ell))
+        return self._primes_over[ell]
 
 
 @dataclass(frozen=True)
@@ -78,18 +115,25 @@ class ModulusStages:
     """The stages of one modulus that do not depend on p, each built on first
     use and then shared by every prime: the unit image O^x -> (O/m)^x x signs
     (cap bounds its residue enumeration) and the narrow ray class group G.
+    shared holds the stages of its field.
 
     A stage that raises is not kept, so each prime that asks for it again
     meets the same error.
     """
 
-    field: FieldDescriptor
+    shared: FieldStages
     modulus: IdealHNF
     cap: int = RESIDUE_ENUMERATION_CAP
 
+    @property
+    def field(self):
+        return self.shared.field
+
     @cached_property
     def image(self):
-        return unit_image_in_modulus(self.field, self.modulus, self.cap)
+        return unit_image_in_modulus(
+            self.field, self.modulus, self.cap, self.shared.prime_ideals_over
+        )
 
     @cached_property
     def group(self):
@@ -102,10 +146,11 @@ def assemble_report(stages: ModulusStages, p: int, budget: int = DEFAULT_BUDGET)
     The unit image, then E, then the t_p scan (raising BudgetShortfall if it
     falls short), then the ray class group G, the pairing report and the
     eigensystem census.  The unit image and G come from stages, so a prime
-    that falls short never builds G.
+    that falls short never builds G; the scan reads the rows its field
+    shares for p.
     """
     E = e_units(stages.image, p)
-    scan = compute_tp(E, p, budget)
+    scan = compute_tp(E, p, budget, stages.shared.scan_rows(p))
     scan.require_target()
     G = stages.group
     psi = psi_report(G, E, scan)
@@ -192,7 +237,8 @@ def run_verify(sweep: SweepConfig):
 
     Rows come field by field, then by p, then by modulus.  The loop runs
     modulus-outer, so the unit image and G of a modulus are built once for
-    all its primes and only one modulus's G is alive at a time.
+    all its primes and only one modulus's G is alive at a time.  The prime
+    ideals and the scan rows of a field are built once for all its moduli.
 
     A configuration that raises a package error, ArithmeticError or
     ValueError is recorded in its own row under "error" and the sweep goes
@@ -203,9 +249,10 @@ def run_verify(sweep: SweepConfig):
     ran_out = False
     errored = False
     for F in sweep.fields:
+        shared = FieldStages(F)
         by_prime = [[] for _ in sweep.primes]
-        for modulus, norm in moduli_upto(F, sweep.modulus_norm_bound):
-            stages = ModulusStages(F, modulus, sweep.cap_residue)
+        for modulus, norm in moduli_upto(F, sweep.modulus_norm_bound, shared.prime_ideals_over):
+            stages = ModulusStages(shared, modulus, sweep.cap_residue)
             for p, rows in zip(sweep.primes, by_prime):
                 if norm % p == 0:
                     continue
@@ -351,12 +398,19 @@ def cmd_field_info(args):
     return 0
 
 
+def _moduli_of_norm_arg(shared: FieldStages, norm):
+    """The moduli of norm --modulus-norm; none is refused on stderr."""
+    moduli = moduli_of_norm(shared.field, norm, shared.prime_ideals_over)
+    if not moduli:
+        print(f"no integral ideal has norm {norm}", file=sys.stderr)
+    return moduli
+
+
 def cmd_invariants(args):
     _check_prime(args.prime)
-    F = _field_from_args(args)
-    moduli = moduli_of_norm(F, args.modulus_norm)
+    shared = FieldStages(_field_from_args(args))
+    moduli = _moduli_of_norm_arg(shared, args.modulus_norm)
     if not moduli:
-        print(f"no integral ideal has norm {args.modulus_norm}", file=sys.stderr)
         return 1
     reports = []
     for modulus in moduli:
@@ -366,7 +420,7 @@ def cmd_invariants(args):
                 file=sys.stderr,
             )
             continue
-        stages = ModulusStages(F, modulus, args.cap_residue)
+        stages = ModulusStages(shared, modulus, args.cap_residue)
         reports.append(run_invariants(stages, args.prime, args.budget))
     _emit(render_reports(reports, args.format), args.out)
     return 0
@@ -374,6 +428,10 @@ def cmd_invariants(args):
 
 def cmd_verify(args):
     primes = tuple(args.prime or (3, 5, 7))
+    for flag, values in (("--prime", primes), ("--d", args.d or ())):
+        for i, x in enumerate(values):
+            if x in values[:i]:
+                raise ValidationError(f"{flag} {x} is given more than once")
     for p in primes:
         _check_prime(p)
     if args.modulus_norm < 1:
@@ -401,13 +459,16 @@ def cmd_verify(args):
 
 def cmd_scan_primes(args):
     _check_prime(args.prime)
-    F = _field_from_args(args)
+    shared = FieldStages(_field_from_args(args))
+    moduli = _moduli_of_norm_arg(shared, args.modulus_norm)
+    if not moduli:
+        return 1
     lines = []
-    for modulus in moduli_of_norm(F, args.modulus_norm):
+    for modulus in moduli:
         if modulus.norm % args.prime == 0:
             continue
         lines.append(f"# modulus norm {modulus.norm} hnf {modulus.hnf}")
-        E = e_units(unit_image_in_modulus(F, modulus, args.cap_residue), args.prime)
+        E = e_units(ModulusStages(shared, modulus, args.cap_residue).image, args.prime)
         for v, phi in scan_t1(E, args.prime, args.budget):
             bal = balanced_coeffs(v.g_poly, v.ell)
             lines.append(

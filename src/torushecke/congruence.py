@@ -12,6 +12,7 @@ codes, and index computations all reduce to lattice work on these vectors.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .abgroup import PolycyclicClosure, closure_from_stream
 from .errors import CapExceeded
@@ -95,8 +96,12 @@ class CongruenceSignGroup:
         return acc
 
 
-def primary_components(F: FieldDescriptor, modulus: IdealHNF):
+def primary_components(F: FieldDescriptor, modulus: IdealHNF, primes_over=None):
     """(P, q) for each prime P containing the modulus, q its P-primary part.
+
+    primes_over(ell) lists the (ideal, norm) of the primes over ell, as
+    primes.prime_ideals_over(F, ell) does (the default); a caller with
+    several moduli of F hands in one table so each ell is factored once.
 
     For ell^v exactly dividing N(m), m + (ell^v) is the product of the
     components over ell; when several primes over ell contain m it splits
@@ -107,12 +112,14 @@ def primary_components(F: FieldDescriptor, modulus: IdealHNF):
     nm = modulus.norm
     if nm == 1:
         return []
+    if primes_over is None:
+        primes_over = partial(prime_ideals_over, F)
     ells = factor_int(nm)
     out = []
     for ell, v in sorted(ells.items()):
         part = modulus if len(ells) == 1 else ideal_sum(modulus, rational_ideal(ell**v, F))
         cols = part.basis_columns()
-        over = [P for P, _ in prime_ideals_over(F, ell) if all(map(P.contains, cols))]
+        over = [P for P, _ in primes_over(ell) if all(map(P.contains, cols))]
         if len(over) == 1:
             out.append((over[0], part))
             continue
@@ -149,12 +156,15 @@ def _local_units(F: FieldDescriptor, P: IdealHNF, q: IdealHNF):
     return closure
 
 
-def residue_sign_group(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP):
+def residue_sign_group(
+    F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP, primes_over=None
+):
     """Build the ambient group for a modulus.
 
     cap bounds the norm of each primary component, the largest box that is
-    enumerated; a larger one refuses before any enumeration."""
-    pairs = primary_components(F, modulus)
+    enumerated; a larger one refuses before any enumeration.  primes_over
+    is handed to primary_components."""
+    pairs = primary_components(F, modulus, primes_over)
     for _, q in pairs:
         if q.norm > cap:
             raise CapExceeded(

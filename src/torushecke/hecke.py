@@ -135,35 +135,92 @@ def generator_characters(v: PrimeIdeal, p: int, F: FieldDescriptor):
     return g, (chi,) + tuple(pth_character(residue_image(u, v), p, g) for u in eps)
 
 
-def unit_functional(v: PrimeIdeal, eunits, p: int):
-    """Mod-p character of kappa_v^x evaluated on the kernel generators.
+def _functional(v: PrimeIdeal, g, row, eunits, p: int):
+    """The character of v with generator g on E's generators.
 
     A character is a homomorphism, so its value on a generator is its
-    exponent vector dotted with the characters of the unit generators.
+    exponent vector dotted with row, the characters of the unit generators.
     """
-    kappa = residue_field(v)
-    if (kappa.order - 1) % p:
-        raise ValueError(f"{v.label()} is not a degree-raising prime for p = {p}")
-    g, row = generator_characters(v, p, eunits.image.csg.field)
     values = tuple(
         sum(e * x for e, x in zip(col, row)) % p for col in eunits.exponent_vectors
     )
     return Functional(prime=v, values=values, generator_encoding=g.encode())
 
 
+def unit_functional(v: PrimeIdeal, eunits, p: int):
+    """Mod-p character of kappa_v^x evaluated on the kernel generators."""
+    kappa = residue_field(v)
+    if (kappa.order - 1) % p:
+        raise ValueError(f"{v.label()} is not a degree-raising prime for p = {p}")
+    g, row = generator_characters(v, p, eunits.image.csg.field)
+    return _functional(v, g, row, eunits, p)
+
+
+def _scan_primes_over(F: FieldDescriptor, ell: int, p: int, residue_degree):
+    """The primes over ell in the scan stream, in factor_prime's order: none
+    when ell is p or divides disc(min_poly), else those with p | N(v) - 1
+    (and of residue degree residue_degree, if given).  N(v) = ell^f, so an
+    ell with ell^f != 1 mod p is dropped before it is factored."""
+    if ell == p or _min_poly_disc(F.min_poly) % ell == 0:
+        return ()
+    if residue_degree is not None and pow(ell, residue_degree, p) != 1:
+        return ()
+    return tuple(
+        v
+        for v in factor_prime(ell, F)
+        if (residue_degree is None or v.f == residue_degree) and (v.norm - 1) % p == 0
+    )
+
+
 def t1_primes(F: FieldDescriptor, modulus: IdealHNF, p: int, residue_degree=None):
     """Ascending stream of scan primes: coprime to p, the modulus, and
-    disc(min_poly), with p dividing the residue norm minus one."""
-    disc = _min_poly_disc(F.min_poly)
+    disc(min_poly), with p dividing the residue norm minus one.  With
+    residue_degree f, only primes of degree f, and an ell with
+    ell^f != 1 mod p is skipped unfactored (it has no such prime)."""
     nm = modulus.norm
     for ell in primes_stream():
-        if ell == p or disc % ell == 0 or nm % ell == 0:
-            continue
-        for v in factor_prime(ell, F):
-            if residue_degree is not None and v.f != residue_degree:
-                continue
-            if (v.norm - 1) % p == 0:
-                yield v
+        if nm % ell:
+            yield from _scan_primes_over(F, ell, p, residue_degree)
+
+
+class ScanRows:
+    """The residue-degree-1 scan primes of (F, p) with their characters.
+
+    An ascending list of (v, g, row), row = generator_characters(v, p, F)
+    on unit_generators(F), extended on demand one prime at a time.  It
+    depends on F and p only, so every modulus of F reads the same list
+    (compute_tp skips the v over primes dividing its norm).  A prime joins
+    the list only once its row is built: a construction that raises leaves
+    the list as it was, and the next reader meets the same error.
+    """
+
+    def __init__(self, F: FieldDescriptor, p: int):
+        self.field = F
+        self.p = p
+        self._rows = []
+        self._ell = 1
+        self._pending = ()
+
+    def _grow(self):
+        ell, pending = self._ell, self._pending
+        while not pending:
+            ell = next(primes_stream(ell + 1))
+            pending = _scan_primes_over(self.field, ell, self.p, 1)
+        g, row = generator_characters(pending[0], self.p, self.field)
+        self._rows.append((pending[0], g, row))
+        self._ell, self._pending = ell, pending[1:]
+
+    def walk(self, norm: int):
+        """(v, g, row) in ascending order, skipping the v over primes
+        dividing norm."""
+        i = 0
+        while True:
+            if i == len(self._rows):
+                self._grow()
+            entry = self._rows[i]
+            i += 1
+            if norm % entry[0].ell:
+                yield entry
 
 
 def scan_t1(E: EUnits, p: int, budget: int):
@@ -211,8 +268,13 @@ class TpScan:
             )
 
 
-def compute_tp(E: EUnits, p: int, budget: int = 50):
+def compute_tp(E: EUnits, p: int, budget: int = 50, rows: ScanRows = None):
     """Rank of the stacked degree-1 characters, from residue-degree-1 primes.
+
+    The primes and their characters on the unit generators come from rows,
+    the ScanRows of (F, p) shared by the moduli of F, or a fresh one when
+    rows is None; the scan walks them, skips those over primes dividing
+    N(m), and dots each row with E's exponent vectors.
 
     A character is linear on E's exponent vectors and sees zeta only when p
     divides w, so t_p is at most the rank of those coordinates mod p; that
@@ -226,7 +288,13 @@ def compute_tp(E: EUnits, p: int, budget: int = 50):
     first = 1 if F.torsion_order % p else 0  # drop zeta unless p | w
     if fp_rank([col[first:] for col in E.exponent_vectors], p) != target:
         raise ArithmeticError("rank of E mod p disagrees with r_p - delta_p")
-    phis = (unit_functional(v, E, p) for v in t1_primes(F, E.modulus, p, residue_degree=1))
+    if rows is None:
+        rows = ScanRows(F, p)
+    elif rows.p != p or rows.field != F:
+        raise ValueError(
+            f"scan rows of {rows.field.label}, p = {rows.p} handed to {F.label}, p = {p}"
+        )
+    phis = (_functional(v, g, row, E, p) for v, g, row in rows.walk(E.modulus.norm))
     t_p, visited, certificate = _greedy_span(
         phis, lambda phi: phi.values, p, F.unit_rank, target, budget
     )

@@ -80,12 +80,6 @@ def prime_ideals_over(F: FieldDescriptor, ell):
     ]
 
 
-def prime_ideal_blocks(F: FieldDescriptor, ells, bound):
-    """(ideal, norm) for every prime of Z[theta] over the rational primes
-    ells with norm <= bound."""
-    return [(a, n) for ell in ells for a, n in prime_ideals_over(F, ell) if n <= bound]
-
-
 @lru_cache(maxsize=None)
 def residue_field(v: PrimeIdeal):
     """kappa_v presented as F_ell[t] / (g_poly), so theta maps to t."""

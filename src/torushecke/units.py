@@ -77,8 +77,12 @@ class UnitImage:
         return sum(1 for d in self.image_invariant_factors if d % p == 0)
 
 
-def unit_image_in_modulus(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP):
-    csg = residue_sign_group(F, modulus, cap)
+def unit_image_in_modulus(
+    F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP, primes_over=None
+):
+    """O^x in the congruence-sign group of the modulus (residue_sign_group
+    with cap and primes_over) and the kernel lattice of that map."""
+    csg = residue_sign_group(F, modulus, cap, primes_over)
     gens = unit_generators(F)
     cols = tuple(csg.element_vector(g) for g in gens)
     kern = kernel_of_map(cols, csg.full_relation_columns, len(gens), csg.width)

@@ -16,8 +16,10 @@ from torushecke.abgroup import ExponentGroup
 from torushecke.classnumber import real_quadratic_field
 from torushecke.errors import RAN_OUT, BudgetShortfall, CapExceeded, Inconclusive, TorusHeckeError
 from torushecke.intlinalg import hnf_reduce
+from torushecke.primes import prime_ideals_over
 from torushecke.cli import (
     CSV_HEADER,
+    FieldStages,
     ModulusStages,
     SweepConfig,
     main,
@@ -91,7 +93,7 @@ def test_moduli_are_duplicate_free(F3):
 
 
 def test_run_invariants_record_and_key_order(F2, seven2):
-    report = run_invariants(ModulusStages(F2, seven2), 5)
+    report = run_invariants(ModulusStages(FieldStages(F2), seven2), 5)
     assert [report[k] for k in ("r", "r_p", "delta_p", "t_p")] == [1, 1, 0, 1]
     assert (report["h_plus"], report["index"]) == (12, 12)
     assert list(report) == REPORT_KEYS
@@ -101,7 +103,7 @@ def test_run_invariants_record_and_key_order(F2, seven2):
 
 
 def test_csv_row_golden(F2, one2):
-    report = run_invariants(ModulusStages(F2, one2), 5)
+    report = run_invariants(ModulusStages(FieldStages(F2), one2), 5)
     header, row = render_reports([report], "csv").splitlines()
     assert (header, row) == (CSV_HEADER, "Q(sqrt2),1,5,1,1,0,1,1,4,true,true,true")
     assert len(CSV_HEADER.split(",")) == len(report_to_csv_row(report))
@@ -109,7 +111,7 @@ def test_csv_row_golden(F2, one2):
 
 def test_csv_quotes_a_descriptor_label_with_separators(F2, one2):
     label = 'Q(sqrt2), "ingested"\nsecond line'
-    report = run_invariants(ModulusStages(replace(F2, label=label), one2), 5)
+    report = run_invariants(ModulusStages(FieldStages(replace(F2, label=label)), one2), 5)
     header, row = csv.reader(io.StringIO(render_reports([report], "csv")))
     assert header == CSV_HEADER.split(",")
     assert len(row) == 12 and row[0] == label
@@ -155,7 +157,7 @@ def _patch_every_binding_site(monkeypatch, fn, wrapper):
                 monkeypatch.setattr(module, attr, wrapper)
 
 
-def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
+def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2):
     stages = {
         "e_units": units.e_units,
         "residue_sign_group": congruence.residue_sign_group,
@@ -179,10 +181,10 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
     for name, fn in stages.items():
         _patch_every_binding_site(monkeypatch, fn, counting(name, fn))
 
-    run_invariants(ModulusStages(F2, seven2), 5)
+    run_invariants(ModulusStages(FieldStages(F2), seven2), 5)
     assert calls == expected
     calls.update(dict.fromkeys(stages, 0))
-    verify_config(ModulusStages(F2, seven2), 5, 50)
+    verify_config(ModulusStages(FieldStages(F2), seven2), 5, 50)
     assert calls == expected
 
     # a sweep builds the unit image and G once per modulus, shared by its primes
@@ -194,16 +196,41 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
         return checked(stages, p, budget)
 
     monkeypatch.setattr(cli, "verify_config", counting_config)
+    # and the characters of a scan prime and the primes over ell once per field
+    characters = []
+    ideals_over = []
+
+    def recording(log, fn, key):
+        def wrapper(*args):
+            log.append(key(*args))
+            return fn(*args)
+
+        return wrapper
+
+    for log, fn, key in (
+        (characters, hecke.generator_characters, lambda v, p, F: (F.label, p, v)),
+        (ideals_over, prime_ideals_over, lambda F, ell: (F.label, ell)),
+    ):
+        _patch_every_binding_site(monkeypatch, fn, recording(log, fn, key))
     calls.update(dict.fromkeys(stages, 0))
     primes = (3, 5, 7)
-    code, agg = run_verify(SweepConfig(fields=(F2,), modulus_norm_bound=21, primes=primes))
+    code, agg = run_verify(
+        SweepConfig(fields=(F2, F3), modulus_norm_bound=21, primes=primes)
+    )
+    listed = sorted(ideals_over)
     assert code == 0
-    pairs = moduli_upto(F2, 21)
+    pairs = moduli_upto(F2, 21) + moduli_upto(F3, 21)
     per_config = sorted((a.hnf, p) for a, n in pairs for p in primes if n % p)
     per_modulus = sum(1 for _, n in pairs if any(n % p for p in primes))
     # (3), of norm 9, is coprime to 5 and 7 only; the primes over 7 to 3 and 5
     assert len(per_config) == agg["configurations"] > per_modulus > 0
     assert sorted(configs) == per_config
+    assert len(set(characters)) == len(characters) > 0
+    assert {(label, p) for label, p, _ in characters} == {
+        (F.label, p) for F in (F2, F3) for p in primes
+    }
+    ells = (2, 3, 5, 7, 11, 13, 17, 19)
+    assert listed == [(F.label, ell) for F in (F2, F3) for ell in ells]
     assert calls == {
         "e_units": len(per_config),
         "residue_sign_group": per_modulus,
@@ -215,13 +242,25 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, seven2):
     }
 
 
+def test_back_to_back_sweeps_print_identical_bytes(capsys):
+    # nothing of one call's fields outlives it: a sweep, a different sweep
+    # of the same field that falls short, and the first sweep again
+    argv = ["verify", "--d", "2", "--d", "3", "--modulus-norm", "10"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(["verify", "--d", "2", "--modulus-norm", "10", "--budget", "0"]) == 2
+    assert capsys.readouterr().out != first
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_a_prime_that_falls_short_builds_no_ray_class_group(monkeypatch, F2, one2):
     def no_group(ui):
         raise AssertionError("G was built for a scan that fell short")
 
     monkeypatch.setattr(cli, "ray_class_group", no_group)
     with pytest.raises(BudgetShortfall):
-        verify_config(ModulusStages(F2, one2), 5, 0)
+        verify_config(ModulusStages(FieldStages(F2), one2), 5, 0)
 
 
 def test_residue_group_enumerates_only_its_primary_components(monkeypatch, F2):
@@ -285,15 +324,15 @@ def test_large_index_signs_only_small_elements(monkeypatch, F2):
         return real_signs(x, F)
 
     _patch_every_binding_site(monkeypatch, real_signs, recording)
-    report = run_invariants(ModulusStages(F2, modulus), 5)
+    report = run_invariants(ModulusStages(FieldStages(F2), modulus), 5)
     assert report["index"] == 860
     assert bits and max(bits) < 16
 
 
 def test_pairing_dimensions_can_fail(monkeypatch, capsys):
     # a scan whose visited operators are dropped leaves the pairing image at 0
-    def no_operators(E, p, budget):
-        return replace(hecke.compute_tp(E, p, budget), visited=())
+    def no_operators(E, p, budget, rows=None):
+        return replace(hecke.compute_tp(E, p, budget, rows), visited=())
 
     monkeypatch.setattr(cli, "compute_tp", no_operators)
     assert main(["verify", "--d", "2", "--prime", "5", "--modulus-norm", "1"]) == 1
@@ -389,7 +428,7 @@ def p_major_verify(sweep):
                 hnf = [list(r) for r in modulus.hnf]
                 head = {"field": F.label, "modulus_norm": norm, "modulus_hnf": hnf, "p": p}
                 try:
-                    stages = ModulusStages(F, modulus, sweep.cap_residue)
+                    stages = ModulusStages(FieldStages(F), modulus, sweep.cap_residue)
                     _, _, report = cli.assemble_report(stages, p, sweep.budget)
                     checks = cli.named_checks(report)
                 except (TorusHeckeError, ArithmeticError, ValueError) as e:
@@ -462,6 +501,28 @@ def test_run_verify_matches_the_p_major_loop_when_a_stage_raises(monkeypatch, F2
     # every (modulus, p) of Q(sqrt2) has its own error row
     assert len(broken) == sum(1 for _, n in moduli_upto(F2, 10) for p in (3, 5, 7) if n % p)
     assert all(r["error"] == "ValueError: no ray class group here" for r in broken)
+
+
+def test_run_verify_matches_the_p_major_loop_when_characters_raise(monkeypatch, F2, F3):
+    built = hecke.generator_characters
+
+    def refuse_31(v, p, F):
+        # 31 is the first scan prime of Q(sqrt2) at p = 5 (degree 1) and of
+        # Q(sqrt3) at p = 3 and 5
+        if v.ell == 31 and F.label == "Q(sqrt2)":
+            raise ValueError(f"no characters at {v.label()}")
+        return built(v, p, F)
+
+    monkeypatch.setattr(hecke, "generator_characters", refuse_31)
+    code, agg = assert_matches_p_major_oracle(
+        SweepConfig(fields=(F2, F3), modulus_norm_bound=10, primes=(3, 5, 7))
+    )
+    assert code == 1
+    errors = {(r["field"], r["p"], r["error"]) for r in agg["results"] if "error" in r}
+    assert errors == {("Q(sqrt2)", 5, "ValueError: no characters at (31, deg 1)")}
+    # every (modulus, 5) of Q(sqrt2) meets the error in its own row
+    rows = [r for r in agg["results"] if "error" in r]
+    assert len(rows) == sum(1 for _, n in moduli_upto(F2, 10) if n % 5)
 
 
 def test_run_verify_matches_the_p_major_loop_when_the_cap_runs_out(F2):
@@ -685,6 +746,15 @@ def test_cli_scan_primes(capsys):
     assert "generator_encoding=3 values=[4]" in out
 
 
+@pytest.mark.parametrize("norm", ["6", "5"])
+def test_cli_scan_primesmissing_norm(capsys, norm):
+    # 6 = 2 * 3 with 3 inert; 5 is inert, so only (5) of norm 25 lies over it
+    assert main(["scan-primes", "--d", "2", "--prime", "5", "--modulus-norm", norm]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"no integral ideal has norm {norm}\n"
+
+
 def test_cli_spanning_set(capsys):
     assert main(["spanning-set", "--d", "2", "--prime", "5"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -749,6 +819,23 @@ def test_cli_refuses_a_prime_that_is_not_prime(monkeypatch, capsys, argv, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ValidationError: --prime {bad} is not a prime\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--d", "2", "--prime", "5", "--prime", "5"], "--prime 5"),
+        (["--d", "2", "--d", "2"], "--d 2"),
+        (["--d", "3", "--d", "2", "--d", "3", "--prime", "7", "--prime", "5"], "--d 3"),
+    ],
+)
+def test_cli_verify_refuses_a_repeated_prime_or_field(monkeypatch, capsys, argv, flag):
+    # a repeat would compute and print the same configurations twice
+    monkeypatch.setattr(cli, "real_quadratic_field", no_field_work)
+    assert main(["verify", "--modulus-norm", "2"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ValidationError: {flag} is given more than once\n"
 
 
 def test_cli_verify_refuses_a_modulus_norm_below_one(monkeypatch, capsys):

@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torushecke import hecke
 from torushecke.errors import BudgetShortfall
 from torushecke.exterior import MultiVector
 from torushecke.field import is_totally_positive, load_descriptor
 from torushecke.fplinalg import fp_rank
 from torushecke.classnumber import real_quadratic_field
 from torushecke.cli import moduli_of_norm, moduli_upto
-from torushecke.galois import find_generator, pth_character
+from torushecke.galois import find_generator, primes_stream, pth_character
 from torushecke.hecke import (
     CohomologyClass,
     HeckeElement,
+    ScanRows,
     compute_tp,
     hecke_apply,
     hecke_multiply,
@@ -26,8 +28,8 @@ from torushecke.hecke import (
     t1_primes,
     unit_functional,
 )
-from torushecke.ideals import unit_ideal
-from torushecke.primes import residue_field, residue_image
+from torushecke.ideals import rational_ideal, unit_ideal
+from torushecke.primes import _min_poly_disc, factor_prime, residue_field, residue_image
 from torushecke.rayclass import ray_class_group
 from torushecke.units import compute_rp, e_units, unit_image_in_modulus, unit_power_product
 
@@ -202,6 +204,105 @@ def test_t1_residue_degree_filter(F2, one2):
     assert [v.ell for v in vs] == [31, 31, 41, 41]
     assert all(v.f == 1 for v in vs)
     assert vs[0].g_poly != vs[1].g_poly
+
+
+def _t1_primes_unfiltered(F, modulus, p, residue_degree=None):
+    """t1_primes as it was before the ell^f = 1 mod p prefilter: every ell
+    coprime to p, the modulus and disc(min_poly) is factored."""
+    disc = _min_poly_disc(F.min_poly)
+    nm = modulus.norm
+    for ell in primes_stream():
+        if ell == p or disc % ell == 0 or nm % ell == 0:
+            continue
+        for v in factor_prime(ell, F):
+            if residue_degree is not None and v.f != residue_degree:
+                continue
+            if (v.norm - 1) % p == 0:
+                yield v
+
+
+def test_t1_prefilter_keeps_the_stream(F2, F3, cubic_descriptors):
+    # a cyclic cubic has no prime of residue degree 2, so its degree-2
+    # stream never yields; degree 3 takes its place there
+    fields = [(F2, 2), (F3, 2)] + [(load_descriptor(c), 3) for c in cubic_descriptors]
+    for F, f in fields:
+        for modulus in (unit_ideal(F), rational_ideal(11, F)):
+            for p in (2, 3, 5, 7):
+                for degree in (1, f, None):
+                    got = t1_primes(F, modulus, p, residue_degree=degree)
+                    want = _t1_primes_unfiltered(F, modulus, p, residue_degree=degree)
+                    assert list(zip(got, range(40))) == list(zip(want, range(40)))
+
+
+def test_scan_rows_skip_the_primes_dividing_the_norm(F2, cubic_descriptors):
+    rows = ScanRows(F2, 3)
+    assert next(rows.walk(1))[0].ell == 7
+    assert next(rows.walk(7))[0].ell != 7
+    assert next(rows.walk(7 * 14))[0].ell not in (2, 7)
+    # Q(zeta7)+, p = 3: 13 splits completely; a prime of norm 13 has target 1
+    # and scans past 13 to 43, while the unit ideal is certified at 13
+    F = load_descriptor(cubic_descriptors[0])
+    rows = ScanRows(F, 3)
+    one = compute_tp(e_units(unit_image_in_modulus(F, unit_ideal(F)), 3), 3, 50, rows)
+    assert [phi.prime.ell for phi in one.visited] == [13, 13]
+    for modulus in moduli_of_norm(F, 13):
+        E = e_units(unit_image_in_modulus(F, modulus), 3)
+        scan = compute_tp(E, 3, 50, rows)
+        assert scan.target == 1 and scan.visited
+        assert all(phi.prime.ell == 43 for phi in scan.visited)
+        assert scan == compute_tp(E, 3, 50)
+
+
+def _tp_fields(scan):
+    return scan.t_p, scan.target, scan.visited, scan.certificate, scan.shortfall
+
+
+def test_shared_scan_rows_match_a_fresh_scan(cubic_descriptors):
+    """compute_tp on one ScanRows per (F, p), read by every modulus in
+    turn, against a fresh scan per configuration, at budgets that fall short
+    too."""
+    sweeps = [(real_quadratic_field(d), 50) for d in (2, 3, 5, 6, 7, 10, 11, 13)]
+    sweeps += [(load_descriptor(c), 13) for c in cubic_descriptors]
+    shortfalls = 0
+    for F, bound in sweeps:
+        moduli = moduli_upto(F, bound)
+        for p in (3, 5, 7):
+            rows = ScanRows(F, p)
+            for modulus, norm in moduli:
+                if norm % p == 0:
+                    continue
+                E = e_units(unit_image_in_modulus(F, modulus), p)
+                for budget in (50, 1, 2):
+                    shared = compute_tp(E, p, budget, rows)
+                    assert _tp_fields(shared) == _tp_fields(compute_tp(E, p, budget))
+                    shortfalls += shared.shortfall
+    assert shortfalls > 0
+
+
+def test_compute_tp_refuses_rows_of_another_prime(F2, F3, one2):
+    E = e_units(unit_image_in_modulus(F2, one2), 5)
+    for rows in (ScanRows(F2, 3), ScanRows(F3, 5)):
+        with pytest.raises(ValueError, match="scan rows of"):
+            compute_tp(E, 5, 50, rows)
+
+
+def test_scan_rows_keep_no_row_that_raised(monkeypatch, F2, one2):
+    built = hecke.generator_characters
+    failing = {31}
+
+    def refuse_31(v, p, F):
+        if v.ell in failing:
+            raise ValueError(f"no characters at {v.label()}")
+        return built(v, p, F)
+
+    monkeypatch.setattr(hecke, "generator_characters", refuse_31)
+    E = e_units(unit_image_in_modulus(F2, one2), 5)
+    rows = ScanRows(F2, 5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"no characters at \(31, deg 1\)"):
+            compute_tp(E, 5, 50, rows)
+    failing.clear()
+    assert _tp_fields(compute_tp(E, 5, 50, rows)) == _tp_fields(compute_tp(E, 5, 50))
 
 
 def test_compute_tp_certificate_golden(F2, one2):
