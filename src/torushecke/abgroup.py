@@ -9,7 +9,7 @@ downstream (quotients, kernels, discrete logs) is Smith or Hermite normal
 form on that lattice.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intlinalg import (
     IntMatrix,
@@ -20,8 +20,7 @@ from .intlinalg import (
 )
 
 
-@dataclass(frozen=True)
-class PolycyclicClosure:
+class PolycyclicClosure(NamedTuple):
     """Enumerated abelian group with discrete logs over adjoined generators."""
 
     generators: tuple
@@ -91,8 +90,7 @@ def closure_from_stream(candidates, mul, identity):
     )
 
 
-@dataclass(frozen=True)
-class ExponentGroup:
+class ExponentGroup(NamedTuple):
     """Z^k modulo a full-rank relation lattice, in column HNF."""
 
     ngens: int
@@ -117,13 +115,12 @@ class ExponentGroup:
         return tuple(d for d in snf_diagonal(m) if d > 1)
 
 
-@dataclass(frozen=True)
-class QuotientStructure:
+class QuotientStructure(NamedTuple):
     """Z^k / (relations + subgroup) with a computable projection map."""
 
     factors: tuple
-    _u_rows: tuple
-    _row_indices: tuple
+    u_rows: tuple
+    row_indices: tuple
 
     @property
     def order(self):
@@ -134,8 +131,8 @@ class QuotientStructure:
 
     def project(self, vec):
         out = []
-        for pos, i in enumerate(self._row_indices):
-            row = self._u_rows[i]
+        for pos, i in enumerate(self.row_indices):
+            row = self.u_rows[i]
             out.append(sum(row[j] * vec[j] for j in range(len(vec))) % self.factors[pos])
         return tuple(out)
 
@@ -143,7 +140,7 @@ class QuotientStructure:
 def quotient_structure(relation_columns, extra_columns, k):
     """Structure of Z^k modulo the lattice spanned by all given columns."""
     if k == 0:
-        return QuotientStructure(factors=(), _u_rows=(), _row_indices=())
+        return QuotientStructure(factors=(), u_rows=(), row_indices=())
     cols = list(relation_columns) + list(extra_columns)
     rows = [[col[i] for col in cols] for i in range(k)]
     m = IntMatrix.from_rows(rows)
@@ -159,12 +156,11 @@ def quotient_structure(relation_columns, extra_columns, k):
             row_indices.append(i)
     u_rows = tuple(tuple(u[i, j] for j in range(k)) for i in range(k))
     return QuotientStructure(
-        factors=tuple(factors), _u_rows=u_rows, _row_indices=tuple(row_indices)
+        factors=tuple(factors), u_rows=u_rows, row_indices=tuple(row_indices)
     )
 
 
-@dataclass(frozen=True)
-class KernelLattice:
+class KernelLattice(NamedTuple):
     """Kernel of Z^s -> Z^k / relations, as a column-HNF sublattice of Z^s."""
 
     hnf: tuple

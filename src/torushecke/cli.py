@@ -15,8 +15,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 from .classnumber import real_quadratic_field
 from .congruence import RESIDUE_ENUMERATION_CAP
@@ -110,7 +110,6 @@ class FieldStages:
         return self._primes_over[ell]
 
 
-@dataclass(frozen=True)
 class ModulusStages:
     """The stages of one modulus that do not depend on p, each built on first
     use and then shared by every prime: the unit image O^x -> (O/m)^x x signs
@@ -121,9 +120,12 @@ class ModulusStages:
     meets the same error.
     """
 
-    shared: FieldStages
-    modulus: IdealHNF
-    cap: int = RESIDUE_ENUMERATION_CAP
+    def __init__(
+        self, shared: FieldStages, modulus: IdealHNF, cap: int = RESIDUE_ENUMERATION_CAP
+    ):
+        self.shared = shared
+        self.modulus = modulus
+        self.cap = cap
 
     @property
     def field(self):
@@ -221,8 +223,7 @@ def verify_config(stages: ModulusStages, p: int, budget: int):
     return named_checks(report), report
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     """One theorem sweep: fields x coprime moduli x primes, fixed budget."""
 
     fields: tuple
@@ -398,28 +399,27 @@ def cmd_field_info(args):
     return 0
 
 
-def _moduli_of_norm_arg(shared: FieldStages, norm):
-    """The moduli of norm --modulus-norm; none is refused on stderr."""
+def _moduli_of_norm_arg(shared: FieldStages, norm, p):
+    """The moduli of norm --modulus-norm, or an empty list, with the reason
+    on stderr, when no ideal has that norm or p divides it (every modulus
+    would be skipped and nothing checked)."""
     moduli = moduli_of_norm(shared.field, norm, shared.prime_ideals_over)
     if not moduli:
         print(f"no integral ideal has norm {norm}", file=sys.stderr)
+    elif norm % p == 0:
+        print(f"modulus norm {norm} is not coprime to p = {p}", file=sys.stderr)
+        return []
     return moduli
 
 
 def cmd_invariants(args):
     _check_prime(args.prime)
     shared = FieldStages(_field_from_args(args))
-    moduli = _moduli_of_norm_arg(shared, args.modulus_norm)
+    moduli = _moduli_of_norm_arg(shared, args.modulus_norm, args.prime)
     if not moduli:
         return 1
     reports = []
     for modulus in moduli:
-        if modulus.norm % args.prime == 0:
-            print(
-                f"skipping modulus of norm {modulus.norm}: not coprime to p",
-                file=sys.stderr,
-            )
-            continue
         stages = ModulusStages(shared, modulus, args.cap_residue)
         reports.append(run_invariants(stages, args.prime, args.budget))
     _emit(render_reports(reports, args.format), args.out)
@@ -460,13 +460,11 @@ def cmd_verify(args):
 def cmd_scan_primes(args):
     _check_prime(args.prime)
     shared = FieldStages(_field_from_args(args))
-    moduli = _moduli_of_norm_arg(shared, args.modulus_norm)
+    moduli = _moduli_of_norm_arg(shared, args.modulus_norm, args.prime)
     if not moduli:
         return 1
     lines = []
     for modulus in moduli:
-        if modulus.norm % args.prime == 0:
-            continue
         lines.append(f"# modulus norm {modulus.norm} hnf {modulus.hnf}")
         E = e_units(ModulusStages(shared, modulus, args.cap_residue).image, args.prime)
         for v, phi in scan_t1(E, args.prime, args.budget):
@@ -502,6 +500,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a non-negative integer")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="torushecke",
@@ -526,7 +531,12 @@ def build_parser():
                 help="residue enumeration cap for this call (at least 1)",
             )
         if "budget" in flags:
-            sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="scan budget")
+            sp.add_argument(
+                "--budget",
+                type=_nonnegative_int,
+                default=DEFAULT_BUDGET,
+                help="scan budget (at least 0)",
+            )
         if "format" in flags:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="write the report to this path")

@@ -11,8 +11,8 @@ diagonal over the components and the sign block.  Unit images, ray class
 codes, and index computations all reduce to lattice work on these vectors.
 """
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .abgroup import PolycyclicClosure, closure_from_stream
 from .errors import CapExceeded
@@ -24,16 +24,14 @@ from .primes import prime_ideals_over
 RESIDUE_ENUMERATION_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class ResidueComponent:
+class ResidueComponent(NamedTuple):
     """(O/q)^x for one primary component q of the modulus."""
 
     primary: IdealHNF
     closure: PolycyclicClosure
 
 
-@dataclass(frozen=True)
-class CongruenceSignGroup:
+class CongruenceSignGroup(NamedTuple):
     """Exponent-vector model of (O/N)^x cross the sign block."""
 
     modulus: IdealHNF

@@ -21,10 +21,10 @@ both reduce to the same check; the image is nonzero exactly when phi is
 nonzero mod p.
 """
 
-from dataclasses import dataclass
 from functools import reduce
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .hecke import TpScan
 from .rayclass import RayClassGroup
@@ -49,8 +49,7 @@ def multiplicative_order(p, m):
     return k
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(NamedTuple):
     """Census of shift eigensystems and their cross-degree matching."""
 
     p: int

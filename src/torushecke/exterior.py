@@ -6,10 +6,10 @@ indexed by the j-element subsets of {0, ..., r-1} in colexicographic order
 independent of r, so serialized coordinates are stable across ranks.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 
 @lru_cache(maxsize=None)
@@ -41,19 +41,32 @@ def merge_sign(s, t):
     return -1 if inv % 2 else 1
 
 
-@dataclass(frozen=True)
-class MultiVector:
-    """Homogeneous element of Lambda^degree(F_p^rank)."""
-
+class _MultiVectorFields(NamedTuple):
     p: int
     rank: int
     degree: int
     coords: tuple
 
-    def __post_init__(self):
-        want = comb(self.rank, self.degree) if 0 <= self.degree <= self.rank else 0
-        if len(self.coords) != want:
+
+class MultiVector(_MultiVectorFields):
+    """Homogeneous element of Lambda^degree(F_p^rank).
+
+    A NamedTuple body cannot override __new__, so the fields live on a base
+    and this subclass checks the coordinate length on every construction,
+    _make and _replace included.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p, rank, degree, coords):
+        want = comb(rank, degree) if 0 <= degree <= rank else 0
+        if len(coords) != want:
             raise ValueError("coordinate length mismatch")
+        return super().__new__(cls, p, rank, degree, coords)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @staticmethod
     def zero(p, rank, degree):

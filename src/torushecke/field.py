@@ -7,8 +7,8 @@ root isolation (higher degree), so every decision made here is exact.
 """
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import sturm
 from .errors import ValidationError
@@ -19,8 +19,7 @@ from .intlinalg import IntMatrix, det
 IRREDUCIBILITY_SCAN_LIMIT = 300
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(NamedTuple):
     """A number field presented by a monic integral minimal polynomial.
 
     fundamental_units has length r1 + r2 - 1; torsion_generator has exact

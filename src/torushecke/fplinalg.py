@@ -4,11 +4,10 @@ Entries are ints reduced mod p.  Gaussian elimination only; p is a prime
 small enough that Fermat inversion is cheap.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FpMatrix:
+class FpMatrix(NamedTuple):
     """Matrix over F_p; entries reduced into [0, p)."""
 
     p: int

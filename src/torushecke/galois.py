@@ -9,8 +9,8 @@ reproducible.
 """
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import CapExceeded, CharacterUndefined, GeneratorError
 
@@ -287,8 +287,7 @@ def distinct_roots(coeffs, ell):
 # ---------------------------------------------------------------------------
 # extension fields
 
-@dataclass(frozen=True)
-class FqField:
+class FqField(NamedTuple):
     """The field with ell**f elements, as F_ell[t] / (modulus)."""
 
     ell: int
@@ -322,8 +321,7 @@ class FqField:
         return self.element((1,) + (0,) * (self.f - 1))
 
 
-@dataclass(frozen=True)
-class FqElement:
+class FqElement(NamedTuple):
     field: FqField
     coords: tuple
 

@@ -11,7 +11,7 @@ E's exponent vectors mod p, which is checked to be r_p - delta_p, so every
 scan stops at a target it has proved.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetShortfall
 from .exterior import MultiVector, wedge
@@ -24,8 +24,7 @@ from .rayclass import RayClassGroup
 from .units import EUnits, compute_rp, unit_generators
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(NamedTuple):
     """One multivector block per narrow ray class, all of one degree."""
 
     p: int
@@ -62,8 +61,7 @@ class CohomologyClass:
         return tuple(c for m in self.components for c in m.coords)
 
 
-@dataclass(frozen=True)
-class HeckeElement:
+class HeckeElement(NamedTuple):
     """Sum of (shift class, wedge multivector) terms, homogeneous in degree."""
 
     p: int
@@ -116,8 +114,7 @@ def hecke_apply(h: HeckeElement, c: CohomologyClass, G: RayClassGroup):
     return CohomologyClass(c.p, c.rank, degree, tuple(comps))
 
 
-@dataclass(frozen=True)
-class Functional:
+class Functional(NamedTuple):
     """Character values of one scanned prime on the congruence-unit kernel."""
 
     prime: PrimeIdeal
@@ -248,8 +245,7 @@ def _greedy_span(records, row_of, p, width, target, budget):
     return acc.rank, tuple(visited), tuple(spanning)
 
 
-@dataclass(frozen=True)
-class TpScan:
+class TpScan(NamedTuple):
     """Outcome of stacking scanned characters against the rank target."""
 
     p: int
@@ -309,8 +305,7 @@ def compute_tp(E: EUnits, p: int, budget: int = 50, rows: ScanRows = None):
     )
 
 
-@dataclass(frozen=True)
-class SpanningScan:
+class SpanningScan(NamedTuple):
     """Primes whose characters span the dual of the global units mod p."""
 
     primes: tuple
@@ -342,8 +337,7 @@ def spanning_set(F: FieldDescriptor, p: int, budget: int = 25):
     )
 
 
-@dataclass(frozen=True)
-class PsiReport:
+class PsiReport(NamedTuple):
     """Dimension bookkeeping for the degree-raising pairing."""
 
     p: int

@@ -6,14 +6,13 @@ ideals is equality of matrices, the norm is the diagonal product, and the
 box of vectors below the diagonal is an exact transversal of the quotient.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field import FieldDescriptor, element_mul
 from .intlinalg import hnf_columns, hnf_reduce
 
 
-@dataclass(frozen=True)
-class IdealHNF:
+class IdealHNF(NamedTuple):
     """hnf[i][j] is row i of basis column j; upper triangular, canonical."""
 
     hnf: tuple

@@ -6,11 +6,10 @@ transforms, column-style Hermite normal form for lattices, integer kernels,
 and a fraction-free determinant.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple):
     """Immutable integer matrix; entries stored as a tuple of row tuples."""
 
     rows: int

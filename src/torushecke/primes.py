@@ -8,8 +8,8 @@ listing (prime_ideals_over) takes every ell: the maximal ideals of Z[theta]
 over ell are read off the same factorization, multiplicities aside.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import RamifiedOrIndexPrime
 from .field import FieldDescriptor, poly_discriminant, reduce_mod_min_poly
@@ -17,8 +17,7 @@ from .galois import FqField, factor_poly_mod_ell, poly_trim
 from .ideals import ideal_from_generators
 
 
-@dataclass(frozen=True)
-class PrimeIdeal:
+class PrimeIdeal(NamedTuple):
     """A prime of Z[theta] over ell, cut out by (ell, g_poly(theta))."""
 
     ell: int

@@ -7,8 +7,8 @@ to a generator.  Higher degree falls back to bounded box enumeration and
 reports exhaustion honestly as inconclusive rather than as absence.
 """
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .field import FieldDescriptor, element_norm
 from .forms import ideal_generator, power_basis
@@ -21,8 +21,7 @@ INCONCLUSIVE = "inconclusive"
 BOX_RADIUS = 12
 
 
-@dataclass(frozen=True)
-class PrincipalSearchResult:
+class PrincipalSearchResult(NamedTuple):
     status: str
     generator: tuple | None = None
 

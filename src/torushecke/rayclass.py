@@ -8,8 +8,8 @@ products of representatives fall back into the transversal, so the group
 law needs no ideal arithmetic after construction and nothing per class.
 """
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .abgroup import QuotientStructure, quotient_structure
 from .classnumber import wide_class_of, wide_class_reps
@@ -23,8 +23,7 @@ from .principal import FOUND, NOT_FOUND, principal_generator
 from .units import UnitImage, unit_image_in_modulus
 
 
-@dataclass(frozen=True, eq=False)
-class RayClassGroup:
+class RayClassGroup(NamedTuple):
     """Narrow ray classes for a fixed field and modulus.
 
     Class i is the code (k, q) with i = k*|Q| + q read in mixed radix over

@@ -14,8 +14,8 @@ E is only its exponent vectors, checked by sign parity and residue powers;
 no generator is built as a number (unit_power_product is a test oracle).
 """
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from .abgroup import KernelLattice, kernel_of_map
 from .congruence import RESIDUE_ENUMERATION_CAP, CongruenceSignGroup, residue_sign_group
@@ -57,8 +57,7 @@ def unit_power_product(exponents, F: FieldDescriptor):
     return acc
 
 
-@dataclass(frozen=True)
-class UnitImage:
+class UnitImage(NamedTuple):
     """Image data of O^x inside the congruence-sign group of a modulus."""
 
     csg: CongruenceSignGroup
@@ -89,8 +88,7 @@ def unit_image_in_modulus(
     return UnitImage(csg=csg, map_columns=cols, kernel=kern)
 
 
-@dataclass(frozen=True)
-class EUnits:
+class EUnits(NamedTuple):
     """Totally positive units congruent to 1 mod the modulus.
 
     exponent_vectors are columns over (zeta, eps_1..eps_r) generating the

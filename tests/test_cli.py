@@ -6,8 +6,8 @@ import io
 import json
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -111,7 +111,7 @@ def test_csv_row_golden(F2, one2):
 
 def test_csv_quotes_a_descriptor_label_with_separators(F2, one2):
     label = 'Q(sqrt2), "ingested"\nsecond line'
-    report = run_invariants(ModulusStages(FieldStages(replace(F2, label=label)), one2), 5)
+    report = run_invariants(ModulusStages(FieldStages(F2._replace(label=label)), one2), 5)
     header, row = csv.reader(io.StringIO(render_reports([report], "csv")))
     assert header == CSV_HEADER.split(",")
     assert len(row) == 12 and row[0] == label
@@ -332,7 +332,7 @@ def test_large_index_signs_only_small_elements(monkeypatch, F2):
 def test_pairing_dimensions_can_fail(monkeypatch, capsys):
     # a scan whose visited operators are dropped leaves the pairing image at 0
     def no_operators(E, p, budget, rows=None):
-        return replace(hecke.compute_tp(E, p, budget, rows), visited=())
+        return hecke.compute_tp(E, p, budget, rows)._replace(visited=())
 
     monkeypatch.setattr(cli, "compute_tp", no_operators)
     assert main(["verify", "--d", "2", "--prime", "5", "--modulus-norm", "1"]) == 1
@@ -664,12 +664,31 @@ def test_cli_invariants_missing_norm(capsys):
 
 
 def test_cli_invariants_skips_and_notes_noncoprime(capsys):
-    # the only norm-3 ideal shares the prime, so the report list comes
-    # back empty with a note rather than an error
-    assert main(["invariants", "--d", "3", "--prime", "3", "--modulus-norm", "3"]) == 0
+    # the only norm-3 ideal shares the prime, so nothing would be checked:
+    # the call is refused with a note, and prints no report
+    assert main(["invariants", "--d", "3", "--prime", "3", "--modulus-norm", "3"]) == 1
     captured = capsys.readouterr()
     assert "not coprime" in captured.err
-    assert json.loads(captured.out) == []
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--d", "2", "--prime", "5", "--modulus-norm", "25"],
+        ["invariants", "--d", "2", "--prime", "5", "--modulus-norm", "25", "--format", "csv"],
+        ["scan-primes", "--d", "2", "--prime", "7", "--modulus-norm", "49"],
+    ],
+    ids=["invariants-json", "invariants-csv", "scan-primes"],
+)
+def test_cli_refuses_a_modulus_norm_that_p_divides(capsys, argv):
+    # every modulus of the norm shares a factor with p: exit 0 would claim
+    # that checks passed when none ran
+    norm, p = argv[argv.index("--modulus-norm") + 1], argv[argv.index("--prime") + 1]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"modulus norm {norm} is not coprime to p = {p}\n"
 
 
 def test_cli_even_prime_note(capsys):
@@ -853,6 +872,63 @@ def test_cli_cap_residue_must_be_positive():
         with pytest.raises(SystemExit) as exc:
             main(["invariants", "--d", "3", "--prime", "7", "--cap-residue", bad])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--d", "2", "--prime", "5"],
+        ["verify", "--d", "2", "--prime", "5"],
+        ["scan-primes", "--d", "2", "--prime", "5"],
+        ["spanning-set", "--d", "2", "--prime", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_budget_must_not_be_negative(monkeypatch, capsys, argv):
+    # malformed input, refused when parsed, not a budget that ran out
+    monkeypatch.setattr(cli, "real_quadratic_field", no_field_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --budget: -1 is not a non-negative integer" in captured.err
+
+
+def _not_plain_json(x, path="$"):
+    """(path, type name) of every value below x that is not a dict, list,
+    str, int or bool, by exact type: a record (a tuple) would be written as
+    a list without any error."""
+    if type(x) is dict:
+        for k, v in x.items():
+            yield from _not_plain_json(k, f"{path} key")
+            yield from _not_plain_json(v, f"{path}.{k}")
+    elif type(x) is list:
+        for i, v in enumerate(x):
+            yield from _not_plain_json(v, f"{path}[{i}]")
+    elif type(x) not in (str, int, bool):
+        yield path, type(x).__name__
+
+
+def test_no_record_leaks_into_the_output(monkeypatch, capsys):
+    dumped = []
+
+    def dumps(obj, **kwargs):
+        dumped.append(obj)
+        return json.dumps(obj, **kwargs)
+
+    # what each verb hands to json.dumps, before it is serialized
+    monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=dumps))
+    criterion_4 = [x for d in (2, 3, 5, 6, 7, 10, 11, 13) for x in ("--d", str(d))]
+    assert main(["verify", *criterion_4, "--modulus-norm", "10"]) == 0
+    assert main(["invariants", "--d", "2", "--prime", "5", "--modulus-norm", "7"]) == 0
+    assert main(["field", "info", "--d", "2"]) == 0
+    capsys.readouterr()
+    aggregate, reports, info = dumped
+    assert aggregate["configurations"] == 172 and len(reports) == 2
+    assert "narrow_class_number" in info
+    for obj in dumped:
+        assert list(_not_plain_json(obj)) == []
 
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"

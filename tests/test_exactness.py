@@ -4,10 +4,14 @@ Every arithmetic path is integer or Fraction work, so the source tree is
 parsed and searched for float literals, float-producing calls, true
 division outside the Fraction-based real-root module, and imports of
 float-returning math helpers.  The same parse also keeps out module-level
-mutable state: `global` statements and writes into imported modules.
+mutable state: `global` statements and writes into imported modules.  A
+fresh interpreter checks what importing the CLI pulls in.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import torushecke
@@ -143,3 +147,21 @@ def test_no_module_level_mutable_state():
             for target in targets:
                 written = _written_attribute_of(target, imported)
                 assert written is None, (name, node.lineno, written)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # records are NamedTuples: as dataclasses, their definitions and the
+    # imports of dataclasses and inspect took over half the library's import
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import torushecke.cli\n"
+        "print(torushecke.__file__)\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert out == [str(SRC / "__init__.py"), "[]"]

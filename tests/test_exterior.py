@@ -1,6 +1,9 @@
 """Wedge product laws, property-based with pinned derandomized settings."""
 
+from math import comb
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from torushecke.exterior import MultiVector, merge_sign, subsets_colex, wedge
@@ -83,3 +86,26 @@ def test_colex_subset_order_is_stable_across_rank():
     s4 = subsets_colex(4, 2)
     s6 = subsets_colex(6, 2)
     assert s6[: len(s4)] == s4
+
+
+def test_multivector_refuses_coordinates_of_the_wrong_length():
+    # (p, rank, degree, len(coords)); a degree outside [0, rank] has no coordinates
+    for p, rank, degree, n in ((5, 3, 1, 2), (5, 3, 2, 4), (3, 2, 0, 0), (7, 2, 3, 1)):
+        with pytest.raises(ValueError, match="coordinate length mismatch"):
+            MultiVector(p, rank, degree, (0,) * n)
+    with pytest.raises(ValueError, match="coordinate length mismatch"):
+        MultiVector(p=5, rank=3, degree=1, coords=(1,))
+    good = MultiVector(5, 3, 1, (1, 2, 3))
+    with pytest.raises(ValueError, match="coordinate length mismatch"):
+        good._replace(coords=(1, 2))
+    assert good._replace(degree=2) == MultiVector(5, 3, 2, (1, 2, 3))
+
+
+def test_multivector_zero_and_scalar_build_valid_vectors():
+    for rank in range(5):
+        for degree in range(-1, rank + 2):
+            z = MultiVector.zero(5, rank, degree)
+            assert z.is_zero() and (z.rank, z.degree) == (rank, degree)
+            assert len(z.coords) == (comb(rank, degree) if 0 <= degree <= rank else 0)
+        s = MultiVector.scalar(5, rank, 7)
+        assert (s.degree, s.coords) == (0, (2,))

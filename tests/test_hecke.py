@@ -1,7 +1,6 @@
 """Operator algebra on class-indexed exterior blocks, plus the prime scans."""
 
 import random
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -365,7 +364,7 @@ def test_compute_tp_refuses_a_unit_lattice_of_the_wrong_rank(F2, one2, cubic_des
         E = e_units(unit_image_in_modulus(F, unit_ideal(F)), p)
         assert compute_tp(E, p).target == F.unit_rank
         first, *rest = E.exponent_vectors
-        tampered = replace(E, exponent_vectors=(tuple(p * x for x in first), *rest))
+        tampered = E._replace(exponent_vectors=(tuple(p * x for x in first), *rest))
         with pytest.raises(ArithmeticError, match="r_p - delta_p"):
             compute_tp(tampered, p)
 

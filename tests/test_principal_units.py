@@ -1,6 +1,5 @@
 """Principal ideal decisions, fundamental units, congruence unit subgroups."""
 
-from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -271,7 +270,7 @@ def test_e_units_mod_seven_sqrt2(F2, seven2):
 def _with_kernel_column(ui, col):
     # the kernel HNF with its free column replaced: a wrong lattice
     hnf = tuple(row[:1] + (c,) for row, c in zip(ui.kernel.hnf, col))
-    return replace(ui, kernel=replace(ui.kernel, hnf=hnf))
+    return ui._replace(kernel=ui.kernel._replace(hnf=hnf))
 
 
 def test_e_units_refuses_a_generator_that_is_not_totally_positive(F2, one2):

@@ -1,7 +1,6 @@
 """End-to-end pairing reports, eigensystem matching, degree-2 vanishing."""
 
 import random
-from dataclasses import replace
 from itertools import product as iter_product
 from math import lcm
 
@@ -149,7 +148,7 @@ def test_psi_rank_identity_across_moduli(F3, stages):
 
 def test_psi_reports_a_short_image_instead_of_raising(F2, seven2, stages):
     G, E, scan = stages(F2, seven2, 5)
-    rep = psi_report(G, E, replace(scan, visited=()))
+    rep = psi_report(G, E, scan._replace(visited=()))
     # no operator applied: the image is measured as zero, not h_plus * t_p
     assert (rep.dim_domain, rep.dim_image) == (12, 0)
     assert not rep.is_isomorphism
@@ -275,7 +274,7 @@ def test_census_sees_a_corrupted_multiplication_table(F2, seven2, stages):
     # h_wide is 1, so the law's one cocycle entry is the shift of the identity
     # lift; a nonzero shift moves every product off the SNF homomorphism
     assert G.shift == ((tuple(0 for _ in G.unit_quotient.factors),),)
-    broken = replace(G, shift=(((1,) + G.shift[0][0][1:],),))
+    broken = G._replace(shift=(((1,) + G.shift[0][0][1:],),))
     for census in (eigensystem_report, fq_eigensystem_report):
         assert census(G, scan).matched_both_degrees
         rep = census(broken, scan)
