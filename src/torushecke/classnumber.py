@@ -1,16 +1,18 @@
-"""Wide class representatives of real quadratic orders and native fields.
+"""The wide class group of real quadratic orders and native fields.
 
 The class number of a native field is the number of rho-cycles of reduced
-ideals (forms.py).  Representatives are degree-one primes told apart by the
-complete principal test on a*conj(b), which walks the same cycles.
+ideals (forms.py).  WideClassGroup names each class by its cycle, once per
+field; representatives are degree-one primes with distinct labels.
 """
 
-from .errors import CapExceeded, ValidationError
+from math import gcd
+
+from .errors import CapExceeded, Inconclusive, ValidationError
 from .field import FieldDescriptor, poly_discriminant, validate_descriptor
-from .forms import wide_class_number
+from .forms import RhoCycles, wide_class_number
 from .galois import distinct_roots, factor_int, is_prime
 from .ideals import IdealHNF, conjugate_ideal, ideal_from_generators, ideal_product, unit_ideal
-from .principal import FOUND, NOT_FOUND, principal_generator
+from .principal import FOUND, NOT_FOUND, ideal_form, principal_generator
 from .units import fundamental_unit_real_quadratic
 
 NATIVE_DISC_CAP = 10**6
@@ -32,58 +34,132 @@ def degree_one_primes_over(F: FieldDescriptor, ell):
     return out
 
 
-def ideals_wide_equivalent(a: IdealHNF, b: IdealHNF, F: FieldDescriptor):
-    """[a] = [b] in the wide class group, decided exactly (quadratic only).
+class WideClassGroup:
+    """The wide class group of one field, built on first use and shared by
+    every modulus of the field.
 
-    b*conj(b) is the principal ideal (N(b)), so [a][b]^-1 = [a*conj(b)] and
-    the test reduces to one complete principality check on an integral ideal.
+    A class is named by a label: the least reduced form of its rho-cycle
+    (forms.RhoCycles), or 0 for every ideal when the class number is 1.
+    The degree-one primes are listed in the order of wide_class_reps, with
+    their labels, as far as a modulus has needed them.  The label of each
+    ideal met, the products of representatives and the generator of
+    rep_k1 * rep_k2 * conj(rep_k3) for each triple are kept, so a modulus
+    whose representatives another modulus already used does no ideal
+    arithmetic and no search.  A class number 1 field has the single class
+    of (1), generated by 1, and never searches.  Nothing that raised is
+    kept.
     """
-    if a == b:
-        return True
-    prod = ideal_product(a, conjugate_ideal(b, F), F)
-    res = principal_generator(prod, F)
-    if res.status == FOUND:
-        return True
-    if res.status == NOT_FOUND:
-        return False
-    raise ArithmeticError("principal test inconclusive in complete quadratic mode")
+
+    def __init__(self, F: FieldDescriptor):
+        self.field = F
+        self.order = F.class_number
+        self._primes = []  # (ell, degree-one prime, label), ascending ell
+        self._ell = 1
+        self._cycles = None
+        self._labels = {}
+        self._products = {}
+        self._generators = {}
+
+    @property
+    def cycles(self):
+        """The field's RhoCycles; None unless the field is real quadratic."""
+        F = self.field
+        if self._cycles is None and F.degree == 2 and F.signature[0] == 2:
+            c0, c1 = F.min_poly[0], F.min_poly[1]
+            self._cycles = RhoCycles(c1 * c1 - 4 * c0)
+        return self._cycles
+
+    def label(self, a: IdealHNF):
+        """The label of the class of a; None when a is not invertible."""
+        if self.order == 1:
+            return 0
+        if self.cycles is None:
+            raise ValidationError(
+                "nontrivial class groups are native to real quadratic fields only"
+            )
+        if a not in self._labels:
+            _, form = ideal_form(a, self.field)
+            self._labels[a] = self.cycles.label(form) if gcd(*form) == 1 else None
+        return self._labels[a]
+
+    def product(self, a: IdealHNF, b: IdealHNF):
+        if (a, b) not in self._products:
+            self._products[a, b] = ideal_product(a, b, self.field)
+        return self._products[a, b]
+
+    def generator(self, a: IdealHNF):
+        """A generator of the principal ideal a; raises when a is not principal."""
+        F = self.field
+        if a.norm == 1:
+            return F.one()
+        res = principal_generator(a, F, self.cycles)
+        if res.status == NOT_FOUND:
+            raise ArithmeticError("wide class index disagreed with principality test")
+        if res.status != FOUND:
+            raise Inconclusive("principal generator search was inconclusive")
+        return res.generator
+
+    def class_index(self, a: IdealHNF, reps):
+        """k with [a] = [reps[k]], reps being wide_class_reps of this field."""
+        labels = [self.label(r) for r in reps]
+        label = self.label(a)
+        if label is None or label not in labels:
+            raise ArithmeticError("ideal matches no class representative")
+        return labels.index(label)
+
+    def quotient_generator(self, a: IdealHNF, b: IdealHNF, rep: IdealHNF):
+        """A generator of a*b*conj(rep), principal when [a*b] = [rep]; kept
+        for each triple, as the factor set of a modulus asks for it."""
+        key = a, b, rep
+        if key not in self._generators:
+            F = self.field
+            c = ideal_product(self.product(a, b), conjugate_ideal(rep, F), F)
+            self._generators[key] = self.generator(c)
+        return self._generators[key]
+
+    def degree_one_primes(self):
+        """The degree-one primes with their labels, listed as far as asked."""
+        i = 0
+        while True:
+            while i == len(self._primes):
+                ell = self._ell + 1
+                if ell > CLASS_CLOSURE_CAP:
+                    raise ArithmeticError("class representative sweep exhausted its cap")
+                if is_prime(ell):
+                    over = degree_one_primes_over(self.field, ell)
+                    self._primes.extend([(ell, v, self.label(v)) for v in over])
+                self._ell = ell
+            yield self._primes[i]
+            i += 1
 
 
-def wide_class_reps(F: FieldDescriptor, coprime_to: IdealHNF = None):
+def wide_class_reps(
+    F: FieldDescriptor, coprime_to: IdealHNF = None, wide: WideClassGroup = None
+):
     """Representatives of every wide class, identity first.
 
-    Reps are the unit ideal plus degree-1 primes, all coprime to the given
-    ideal; the descriptor's class number says when to stop, and primes
-    above CLASS_CLOSURE_CAP are never tried.  Quadratic fields use the
-    complete test; other fields must have class number 1.
+    Reps are the unit ideal plus, in the order of ell and then of
+    degree_one_primes_over, the first degree-1 prime of each new class, all
+    coprime to the given ideal; the class number says when to stop, and
+    primes above CLASS_CLOSURE_CAP are never tried.  Classes are told apart
+    by the labels of wide, the field's WideClassGroup (a fresh one when
+    None); a prime over the conductor of a non-maximal order is not
+    invertible, lies in no class and is skipped.  Fields other than real
+    quadratic ones must have class number 1.
     """
-    h = F.class_number
+    if wide is None:
+        wide = WideClassGroup(F)
     reps = [unit_ideal(F)]
-    if h == 1:
+    if wide.order == 1:
         return tuple(reps)
-    if F.degree != 2:
-        raise ValidationError("nontrivial class groups are native to quadratic fields only")
-    ell = 2
-    while len(reps) < h:
-        if ell > CLASS_CLOSURE_CAP:
-            raise ArithmeticError("class representative sweep exhausted its cap")
-        if is_prime(ell):
-            skip = coprime_to is not None and coprime_to.norm % ell == 0
-            if not skip:
-                for v in degree_one_primes_over(F, ell):
-                    if len(reps) >= h:
-                        break
-                    if not any(ideals_wide_equivalent(v, r, F) for r in reps):
-                        reps.append(v)
-        ell += 1
-    return tuple(reps)
-
-
-def wide_class_of(a: IdealHNF, reps, F: FieldDescriptor):
-    for i, r in enumerate(reps):
-        if ideals_wide_equivalent(a, r, F):
-            return i
-    raise ArithmeticError("ideal matches no class representative")
+    seen = {wide.label(reps[0])}
+    skip = coprime_to.norm if coprime_to is not None else 1
+    for ell, v, label in wide.degree_one_primes():
+        if skip % ell and label is not None and label not in seen:
+            seen.add(label)
+            reps.append(v)
+            if len(reps) == wide.order:
+                return tuple(reps)
 
 
 def real_quadratic_field(d):

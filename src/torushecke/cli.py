@@ -5,9 +5,10 @@ Native fields come from `--d <squarefree>`; external descriptors from
 `--descriptor <path>`.  Reports are byte-deterministic: configuration order,
 dict key order, and scan order are all pinned.
 
-Exit codes: 0 all checks pass, 1 a check failed or a computation rejected
-its input, 2 a scan budget or enumeration cap was exhausted, or a search
-was inconclusive, before the answer was determined.
+Exit codes: 0 all checks pass, 1 a check failed, a computation rejected
+its input or a file could not be read or written, 2 a scan budget or
+enumeration cap was exhausted, or a search was inconclusive, before the
+answer was determined.
 """
 
 import argparse
@@ -18,7 +19,7 @@ import sys
 from functools import cached_property, partial
 from typing import NamedTuple
 
-from .classnumber import real_quadratic_field
+from .classnumber import WideClassGroup, real_quadratic_field
 from .congruence import RESIDUE_ENUMERATION_CAP
 from .eigen import eigensystem_report
 from .errors import RAN_OUT, TorusHeckeError, ValidationError
@@ -86,18 +87,24 @@ class FieldStages:
     """The stages of one field that do not depend on the modulus, each built
     on first use and then shared by every modulus of the field: the scan
     rows of each p (hecke.ScanRows: the degree-1 scan primes and their
-    characters on the global units) and the prime ideals over each rational
-    prime ell (for the moduli listing and the residue groups).
+    characters on the global units), the prime ideals over each rational
+    prime ell (for the moduli listing and the residue groups) and the wide
+    class group (classnumber.WideClassGroup: class labels, representative
+    primes and the generators of their products).
 
     It lives for one CLI call.  A prime list whose construction raises is
-    not kept, and ScanRows keeps no row that raised, so each configuration
-    that asks again meets the same error.
+    not kept, and neither ScanRows nor WideClassGroup keeps an entry that
+    raised, so each configuration that asks again meets the same error.
     """
 
     def __init__(self, field: FieldDescriptor):
         self.field = field
         self._scan_rows = {}
         self._primes_over = {}
+
+    @cached_property
+    def wide(self):
+        return WideClassGroup(self.field)
 
     def scan_rows(self, p):
         if p not in self._scan_rows:
@@ -139,7 +146,7 @@ class ModulusStages:
 
     @cached_property
     def group(self):
-        return ray_class_group(self.image)
+        return ray_class_group(self.image, self.shared.wide)
 
 
 def assemble_report(stages: ModulusStages, p: int, budget: int = DEFAULT_BUDGET):
@@ -585,6 +592,10 @@ def main(argv=None):
         return 1
     except ArithmeticError as e:
         print(f"check failed: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:
+        # a descriptor that cannot be read or an --out that cannot be written
+        print(f"{type(e).__name__}: {e.filename}: {e.strerror}", file=sys.stderr)
         return 1
 
 

@@ -114,27 +114,62 @@ def _principal_cycle(D):
     yield one, mu
 
 
-def ideal_generator(form, D):
-    """mu with (A, (b + sqrt D)/2) = mu*O for a primitive form (A, b, C),
-    A > 0, or None when that ideal is not principal.
+def _reduce(form, D):
+    """The forms rho passes through before a reduced one, and that one.
 
-    The ideal is principal exactly when its reduced form lies on the cycle
-    of (1).  From the first reduction step on b lies in (sqrt D - 2|a|,
-    sqrt D), so every further step strictly lowers |a| until the form is
-    reduced.  The inverse multipliers (b + sqrt D)/(2c) of those steps are
-    applied last step first, so every partial product generates an
-    integral ideal.
+    From the first step on b lies in (sqrt D - 2|a|, sqrt D), so every
+    further step strictly lowers |a| until the form is reduced.
     """
     steps = []
     while not is_reduced(form, D):
         steps.append(form)
         form = _ideal_rho(form, D)
-    for g, mu in _principal_cycle(D):
-        if g == form:
-            for _, b, c in reversed(steps):
-                mu = _times(mu, b, 1, c, D)
-            return mu
-    return None
+    return steps, form
+
+
+class RhoCycles:
+    """The rho-cycles of the reduced ideals of discriminant D, for one field.
+
+    The cycle of (1) is walked once, with the multiplier mu of each of its
+    reduced ideals, (a, (b + sqrt D)/2) = mu*O.  Any other cycle is walked
+    the first time label() meets it, and named by its least reduced form:
+    the reduced ideals of one wide class form exactly one cycle, so the
+    label names the class.
+    """
+
+    def __init__(self, D):
+        self.D = D
+        self.principal = {}
+        for form, mu in _principal_cycle(D):
+            self.principal.setdefault(form, mu)
+        self._labels = dict.fromkeys(self.principal, min(self.principal))
+
+    def label(self, form):
+        """The label of the class of (A, (b + sqrt D)/2), (A, b, C) primitive, A > 0."""
+        _, form = _reduce(form, self.D)
+        if form not in self._labels:
+            cycle = list(_rho_cycle(form, self.D))
+            self._labels.update(dict.fromkeys(cycle, min(cycle)))
+        return self._labels[form]
+
+
+def ideal_generator(form, cycles: RhoCycles):
+    """mu with (A, (b + sqrt D)/2) = mu*O for a primitive form (A, b, C),
+    A > 0, or None when that ideal is not principal.
+
+    The ideal is principal exactly when its reduced form lies on the cycle
+    of (1).  The inverse multipliers (b + sqrt D)/(2c) of the reduction
+    steps are applied last step first, so every partial product generates
+    an integral ideal.
+    """
+    D = cycles.D
+    steps, form = _reduce(form, D)
+    mu = cycles.principal.get(form)
+    if mu is None:
+        return None
+    for _, b, c in reversed(steps):
+        mu = _times(mu, b, 1, c, D)
+    return mu
 
 
 def fundamental_unit(D):

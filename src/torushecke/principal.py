@@ -11,7 +11,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .field import FieldDescriptor, element_norm
-from .forms import ideal_generator, power_basis
+from .forms import RhoCycles, ideal_generator, power_basis
 from .ideals import IdealHNF, principal_ideal
 
 FOUND = "found"
@@ -30,31 +30,44 @@ class PrincipalSearchResult(NamedTuple):
         return self.status == FOUND
 
 
-def principal_generator(a: IdealHNF, F: FieldDescriptor):
+def principal_generator(a: IdealHNF, F: FieldDescriptor, cycles: RhoCycles = None):
     """Find x with (x) = a, exactly verified through HNF equality.
 
     Returns a tri-state result: found (with generator), not_found (only from
     the complete quadratic mode), or inconclusive (general-mode exhaustion
-    of the box of radius BOX_RADIUS).
+    of the box of radius BOX_RADIUS).  A real quadratic field reads the
+    cycle of (1) off cycles, its field's RhoCycles, or walks it afresh when
+    cycles is None.
     """
     if F.degree == 2 and F.signature[0] == 2:
-        return _quadratic_search(a, F)
+        return _quadratic_search(a, F, cycles)
     return _box_search(a, F, BOX_RADIUS)
 
 
-def _quadratic_search(a: IdealHNF, F: FieldDescriptor):
-    """Decide principality by the rho-cycle of (1); not_found is a proof.
+def ideal_form(a: IdealHNF, F: FieldDescriptor):
+    """(c, (A, b, C)) with a = c*(A, (b + sqrt D)/2), quadratic fields only.
 
-    The HNF columns (c*A, 0) and (h, c) give a = c*(A, (b + sqrt D)/2) with
-    b = 2h/c - c1.  An imprimitive form (A, b, C) means a is not invertible,
-    so not principal; otherwise forms.ideal_generator decides.
+    The HNF columns (c*A, 0) and (h, c) give b = 2h/c - c1.  The form is
+    imprimitive exactly when a is not invertible.
     """
     c0, c1 = F.min_poly[0], F.min_poly[1]
     D = c1 * c1 - 4 * c0
     (cA, h), (_, c) = a.hnf
     A, b = cA // c, 2 * (h // c) - c1
-    C = (b * b - D) // (4 * A)
-    mu = ideal_generator((A, b, C), D) if gcd(A, b, C) == 1 else None
+    return c, (A, b, (b * b - D) // (4 * A))
+
+
+def _quadratic_search(a: IdealHNF, F: FieldDescriptor, cycles):
+    """Decide principality by the rho-cycle of (1); not_found is a proof.
+
+    A non-invertible a is not principal; otherwise forms.ideal_generator
+    decides.
+    """
+    c, form = ideal_form(a, F)
+    if gcd(*form) != 1:
+        return PrincipalSearchResult(NOT_FOUND)
+    A, b, C = form
+    mu = ideal_generator(form, cycles or RhoCycles(b * b - 4 * A * C))
     if mu is None:
         return PrincipalSearchResult(NOT_FOUND)
     gen = tuple(c * t for t in power_basis(mu, F.min_poly))

@@ -8,18 +8,15 @@ products of representatives fall back into the transversal, so the group
 law needs no ideal arithmetic after construction and nothing per class.
 """
 
-from itertools import islice
 from typing import NamedTuple
 
 from .abgroup import QuotientStructure, quotient_structure
-from .classnumber import wide_class_of, wide_class_reps
+from .classnumber import WideClassGroup, wide_class_reps
 from .congruence import CongruenceSignGroup
-from .errors import Inconclusive, ValidationError
+from .errors import ValidationError
 from .field import FieldDescriptor
-from .galois import primes_stream
 from .ideals import IdealHNF, conjugate_ideal, ideal_is_coprime, ideal_product, unit_ideal
-from .primes import factor_prime, prime_to_ideal, _min_poly_disc
-from .principal import FOUND, NOT_FOUND, principal_generator
+from .primes import prime_to_ideal
 from .units import UnitImage, unit_image_in_modulus
 
 
@@ -28,7 +25,8 @@ class RayClassGroup(NamedTuple):
 
     Class i is the code (k, q) with i = k*|Q| + q read in mixed radix over
     Q's factors, the last one fastest, so the identity is 0.  wide_mult and
-    shift are the wide class and the factor set of rep_k1 * rep_k2.
+    shift are the wide class and the factor set of rep_k1 * rep_k2; wide is
+    the field's WideClassGroup.
     """
 
     field: FieldDescriptor
@@ -39,6 +37,7 @@ class RayClassGroup(NamedTuple):
     wide_mult: tuple
     shift: tuple
     snf: QuotientStructure
+    wide: WideClassGroup
 
     @property
     def order(self):
@@ -97,43 +96,16 @@ class RayClassGroup(NamedTuple):
         """Index of the class of an integral ideal coprime to the modulus."""
         if not ideal_is_coprime(a, self.modulus, self.field):
             raise ValidationError("ideal is not coprime to the modulus")
-        k = wide_class_of(a, self.wide_reps, self.field)
-        q = _principal_part(a, k, self.wide_reps, self.csg, self.unit_quotient, self.field)
-        return self._encode(k, q)
+        F, csg, quotient = self.field, self.csg, self.unit_quotient
+        k = self.wide.class_index(a, self.wide_reps)
+        rep = self.wide_reps[k]
+        delta = self.wide.generator(ideal_product(a, conjugate_ideal(rep, F), F))
+        q_delta = _image(delta, csg, quotient)
+        q_norm = _image(_rational(rep.norm, F), csg, quotient)
+        return self._encode(k, _principal_part(q_delta, q_norm, quotient))
 
     def class_of_prime(self, v):
         return self.class_of(prime_to_ideal(v, self.field))
-
-    def representatives(self):
-        """One integral ideal per class, coprime to the modulus.
-
-        Swept from the unramified primes among the first 200, then filled in
-        by products; distinct codes certify pairwise inequivalence.
-        """
-        F = self.field
-        reps = {0: unit_ideal(F)}
-        disc = _min_poly_disc(F.min_poly)
-        nm = self.modulus.norm
-        for ell in islice(primes_stream(), 200):
-            if len(reps) == self.order:
-                break
-            if disc % ell and nm % ell:
-                for v in factor_prime(ell, F):
-                    i = self.class_of_prime(v)
-                    if i not in reps:
-                        reps[i] = prime_to_ideal(v, F)
-        # product fill: the classes the found ideals generate
-        found = list(reps.items())
-        queue = list(found)
-        for i, a in queue:
-            for j, b in found:
-                t = self.multiply(i, j)
-                if t not in reps:
-                    reps[t] = ideal_product(a, b, F)
-                    queue.append((t, reps[t]))
-        if len(reps) < self.order:
-            raise ArithmeticError("representative sweep did not reach every class")
-        return tuple(reps[i] for i in range(self.order))
 
 
 def _exponents(k, q, h):
@@ -141,38 +113,53 @@ def _exponents(k, q, h):
     return tuple(q) + tuple(int(j == k) for j in range(1, h))
 
 
-def _principal_part(a, k, wide_reps, csg, quotient, F):
-    """Image in Q of a generator of rep_k^-1 * a.
+def _rational(n, F):
+    return tuple(n * c for c in F.one())
 
-    rep_k * conj(rep_k) = (N(rep_k)), so rep_k^-1 * a = (delta) / (N(rep_k))
-    with (delta) = a * conj(rep_k); the generator is well defined up to a
-    global unit, which Q quotients away.
+
+def _image(x, csg, quotient):
+    """The image in Q of x, an element coprime to the modulus."""
+    return quotient.project(csg.element_vector(x))
+
+
+def _principal_part(q_delta, q_norm, quotient):
+    """Image in Q of a generator of rep^-1 * a, from the images of delta and
+    N(rep), where (delta) = a * conj(rep).
+
+    rep * conj(rep) = (N(rep)), so rep^-1 * a = (delta) / (N(rep)); the
+    generator is well defined up to a global unit, which Q quotients away.
     """
-    rep = wide_reps[k]
-    res = principal_generator(ideal_product(a, conjugate_ideal(rep, F), F), F)
-    if res.status == NOT_FOUND:
-        raise ArithmeticError("wide class index disagreed with principality test")
-    if res.status != FOUND:
-        raise Inconclusive("principal generator search was inconclusive")
-    q_delta = quotient.project(csg.element_vector(res.generator))
-    q_m = quotient.project(csg.element_vector((rep.norm,) + (0,) * (F.degree - 1)))
-    return tuple((x - y) % f for x, y, f in zip(q_delta, q_m, quotient.factors))
+    return tuple((x - y) % f for x, y, f in zip(q_delta, q_norm, quotient.factors))
 
 
-def ray_class_group(ui: UnitImage):
-    """Narrow ray class group of the modulus the unit image was built for."""
+def ray_class_group(ui: UnitImage, wide: WideClassGroup = None):
+    """Narrow ray class group of the modulus the unit image was built for.
+
+    wide is the field's WideClassGroup, shared by its moduli; a fresh one
+    when None.  What is left per modulus is the choice of representatives
+    coprime to it and their images in Q.
+    """
     csg = ui.csg
     F = csg.field
     modulus = csg.modulus
+    if wide is None:
+        wide = WideClassGroup(F)
     quotient = quotient_structure(csg.full_relation_columns, ui.map_columns, csg.width)
-    wide_reps = wide_class_reps(F, coprime_to=modulus)
+    wide_reps = wide_class_reps(F, coprime_to=modulus, wide=wide)
     h = len(wide_reps)
-    prods = [[ideal_product(a, b, F) for b in wide_reps] for a in wide_reps]
-    wide_mult = tuple(tuple(wide_class_of(c, wide_reps, F) for c in row) for row in prods)
-    shift = tuple(
-        tuple(_principal_part(c, k, wide_reps, csg, quotient, F) for c, k in zip(row, ks))
-        for row, ks in zip(prods, wide_mult)
-    )
+    # shift[k1][k2] is the principal part of rep_k1 * rep_k2 over rep_k3,
+    # k3 = wide_mult[k1][k2]: h^2 generators and h norms to project
+    norms = [_image(_rational(r.norm, F), csg, quotient) for r in wide_reps]
+    wide_mult, shift = [], []
+    for a in wide_reps:
+        ks = [wide.class_index(wide.product(a, b), wide_reps) for b in wide_reps]
+        wide_mult.append(tuple(ks))
+        deltas = [wide.quotient_generator(a, b, wide_reps[k]) for b, k in zip(wide_reps, ks)]
+        shift.append(tuple(
+            _principal_part(_image(delta, csg, quotient), norms[k], quotient)
+            for delta, k in zip(deltas, ks)
+        ))
+    wide_mult, shift = tuple(wide_mult), tuple(shift)
     # relations: Q's factors, and c_k1 + c_k2 = c_(k1 k2) + shift[k1][k2]
     n = len(quotient.factors)
     zero = (0,) * n
@@ -198,9 +185,10 @@ def ray_class_group(ui: UnitImage):
         wide_mult=wide_mult,
         shift=shift,
         snf=snf,
+        wide=wide,
     )
 
 
-def narrow_class_number(F: FieldDescriptor):
+def narrow_class_number(F: FieldDescriptor, wide: WideClassGroup = None):
     """h_plus of the field: ray classes for the trivial modulus."""
-    return ray_class_group(unit_image_in_modulus(F, unit_ideal(F))).order
+    return ray_class_group(unit_image_in_modulus(F, unit_ideal(F)), wide).order

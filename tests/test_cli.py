@@ -11,7 +11,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from torushecke import cli, congruence, eigen, field, hecke, ideals, rayclass, units
+from torushecke import (
+    classnumber,
+    cli,
+    congruence,
+    eigen,
+    field,
+    hecke,
+    ideals,
+    principal,
+    rayclass,
+    units,
+)
 from torushecke.abgroup import ExponentGroup
 from torushecke.classnumber import real_quadratic_field
 from torushecke.errors import RAN_OUT, BudgetShortfall, CapExceeded, Inconclusive, TorusHeckeError
@@ -157,7 +168,7 @@ def _patch_every_binding_site(monkeypatch, fn, wrapper):
                 monkeypatch.setattr(module, attr, wrapper)
 
 
-def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2):
+def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cubic_descriptors):
     stages = {
         "e_units": units.e_units,
         "residue_sign_group": congruence.residue_sign_group,
@@ -207,19 +218,24 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2):
 
         return wrapper
 
+    # and the wide class group once per field
+    wide_stages = []
     for log, fn, key in (
         (characters, hecke.generator_characters, lambda v, p, F: (F.label, p, v)),
         (ideals_over, prime_ideals_over, lambda F, ell: (F.label, ell)),
+        (wide_stages, classnumber.WideClassGroup, lambda F: F.label),
     ):
         _patch_every_binding_site(monkeypatch, fn, recording(log, fn, key))
     calls.update(dict.fromkeys(stages, 0))
     primes = (3, 5, 7)
+    F229 = real_quadratic_field(229)
     code, agg = run_verify(
-        SweepConfig(fields=(F2, F3), modulus_norm_bound=21, primes=primes)
+        SweepConfig(fields=(F2, F3, F229), modulus_norm_bound=21, primes=primes)
     )
     listed = sorted(ideals_over)
     assert code == 0
-    pairs = moduli_upto(F2, 21) + moduli_upto(F3, 21)
+    assert wide_stages == [F.label for F in (F2, F3, F229)]
+    pairs = moduli_upto(F2, 21) + moduli_upto(F3, 21) + moduli_upto(F229, 21)
     per_config = sorted((a.hnf, p) for a, n in pairs for p in primes if n % p)
     per_modulus = sum(1 for _, n in pairs if any(n % p for p in primes))
     # (3), of norm 9, is coprime to 5 and 7 only; the primes over 7 to 3 and 5
@@ -227,10 +243,10 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2):
     assert sorted(configs) == per_config
     assert len(set(characters)) == len(characters) > 0
     assert {(label, p) for label, p, _ in characters} == {
-        (F.label, p) for F in (F2, F3) for p in primes
+        (F.label, p) for F in (F2, F3, F229) for p in primes
     }
     ells = (2, 3, 5, 7, 11, 13, 17, 19)
-    assert listed == [(F.label, ell) for F in (F2, F3) for ell in ells]
+    assert listed == sorted((F.label, ell) for F in (F2, F3, F229) for ell in ells)
     assert calls == {
         "e_units": len(per_config),
         "residue_sign_group": per_modulus,
@@ -240,6 +256,16 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2):
         "eigensystem_report": len(per_config),
         "unit_power_product": 0,
     }
+
+    # a class number 1 field has the one class of (1), generated by 1: the
+    # cubics' ray class groups search for no generator
+    def no_box_search(*args):
+        raise AssertionError("a cubic sweep searched a box for a generator")
+
+    monkeypatch.setattr(principal, "_box_search", no_box_search)
+    cubics = tuple(field.load_descriptor(c) for c in cubic_descriptors)
+    code, agg = run_verify(SweepConfig(fields=cubics, modulus_norm_bound=13, primes=primes))
+    assert code == 0 and agg["configurations"] > 0
 
 
 def test_back_to_back_sweeps_print_identical_bytes(capsys):
@@ -373,10 +399,10 @@ def test_verify_inconclusive_configuration_exits_two(monkeypatch, capsys):
 def test_verify_records_a_value_error_and_goes_on(monkeypatch, capsys):
     built = cli.ray_class_group
 
-    def refuse_sqrt2(ui):
+    def refuse_sqrt2(ui, wide=None):
         if ui.csg.field.label == "Q(sqrt2)":
             raise ValueError("no ray class group here")
-        return built(ui)
+        return built(ui, wide)
 
     monkeypatch.setattr(cli, "ray_class_group", refuse_sqrt2)
     argv = ["verify", "--d", "2", "--d", "3", "--prime", "5", "--modulus-norm", "4"]
@@ -389,6 +415,34 @@ def test_verify_records_a_value_error_and_goes_on(monkeypatch, capsys):
     assert main(["verify", "--d", "3", "--prime", "5", "--modulus-norm", "4"]) == 0
     alone = json.loads(capsys.readouterr().out)["results"]
     assert json.dumps(kept) == json.dumps(alone)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "info", "--d", "2"],
+        ["invariants", "--d", "2", "--prime", "5"],
+        ["verify", "--d", "2", "--prime", "5", "--modulus-norm", "1"],
+        ["scan-primes", "--d", "2", "--prime", "5"],
+        ["spanning-set", "--d", "2", "--prime", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_unwritable_out_path_is_one_stderr_line(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "report.json"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"FileNotFoundError: {out}: No such file or directory\n"
+    assert not out.parent.exists()
+
+
+def test_a_missing_descriptor_is_one_stderr_line(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert main(["field", "info", "--descriptor", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"FileNotFoundError: {path}: No such file or directory\n"
 
 
 def test_main_reports_a_value_error_without_a_traceback(monkeypatch, capsys):
@@ -487,10 +541,10 @@ def test_run_verify_matches_the_p_major_loop_on_the_cubics(cubic_descriptors):
 def test_run_verify_matches_the_p_major_loop_when_a_stage_raises(monkeypatch, F2, F3):
     built = cli.ray_class_group
 
-    def refuse_sqrt2(ui):
+    def refuse_sqrt2(ui, wide=None):
         if ui.csg.field.label == "Q(sqrt2)":
             raise ValueError("no ray class group here")
-        return built(ui)
+        return built(ui, wide)
 
     monkeypatch.setattr(cli, "ray_class_group", refuse_sqrt2)
     code, agg = assert_matches_p_major_oracle(
@@ -578,6 +632,11 @@ RHO_CYCLE_SHA256 = {
     "verify --d 79 --d 229 --modulus-norm 30 --format csv": (
         "ef4f71a9e38af692b9771605463dc8480affef77e42b487bb596aeaa24a23077"
     ),
+    # h = 10, 38 moduli: computed at 200c002, before the wide class group
+    # was built once per field
+    "verify --d 1111 --modulus-norm 30 --prime 3 --prime 5": (
+        "2e67de792b48fa4bf04526e47d17fb19cdcfdb3a8c8196e484a2f9bb314b7d28"
+    ),
 }
 
 
@@ -608,6 +667,30 @@ def test_cli_refuses_a_wrong_real_quadratic_descriptor(tmp_path, capsys, descrip
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "ValidationError" in captured.err
+
+
+def test_a_non_maximal_order_takes_no_non_invertible_representative(tmp_path, capsys):
+    # Z[sqrt40] has conductor 2 in Q(sqrt10) and class number 2; the prime
+    # (2, sqrt40) over the conductor is not invertible and lies in no class,
+    # so it must not become a class representative
+    descriptor = {
+        "label": "Z[sqrt40]",
+        "min_poly": [-40, 0, 1],
+        "signature": [2, 0],
+        "torsion": {"order": 2, "generator": [-1, 0]},
+        "fundamental_units": [[19, 3]],
+        "class_number": 2,
+    }
+    path = tmp_path / "z40.json"
+    path.write_text(json.dumps(descriptor))
+    assert main(["field", "info", "--descriptor", str(path)]) == 0
+    # the unit 19 + 3 sqrt40 has norm +1, so h+ = 2h
+    assert json.loads(capsys.readouterr().out)["narrow_class_number"] == 4
+    argv = ["verify", "--descriptor", str(path), "--modulus-norm", "9", "--prime", "5"]
+    assert main(argv) == 0
+    agg = json.loads(capsys.readouterr().out)
+    assert agg["pass"] is True and agg["configurations"] == 11
+    assert all("error" not in row for row in agg["results"])
 
 
 # sha256 of `verify --modulus-norm 13 --prime P --format csv` for P = 3, 5, 7,

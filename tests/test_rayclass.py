@@ -1,16 +1,19 @@
 """Ray class group law, codes, and representative sweeps."""
 
+from itertools import islice, takewhile
 from itertools import product as iter_product
 
 import pytest
 
 from torushecke.abgroup import closure_from_stream, quotient_structure
-from torushecke.classnumber import real_quadratic_field, wide_class_of, wide_class_reps
+from class_oracles import principal_part, wide_class_of, wide_class_reps
+from torushecke.classnumber import WideClassGroup, real_quadratic_field
 from torushecke.cli import moduli_upto
 from torushecke.errors import ValidationError
+from torushecke.galois import primes_stream
 from torushecke.ideals import ideal_product, rational_ideal, unit_ideal
-from torushecke.primes import factor_prime, prime_to_ideal
-from torushecke.rayclass import _principal_part, narrow_class_number, ray_class_group
+from torushecke.primes import _min_poly_disc, factor_prime, prime_to_ideal
+from torushecke.rayclass import narrow_class_number, ray_class_group
 from torushecke.units import unit_image_in_modulus
 
 
@@ -88,10 +91,42 @@ def test_snf_coords_faithful(F2, seven2):
             assert G.snf_coords(G.multiply(i, j)) == want
 
 
+def representatives(G):
+    """One integral ideal per class of G, coprime to the modulus.
+
+    Swept from the unramified primes among the first 200, then filled in
+    by products; distinct codes certify pairwise inequivalence.
+    """
+    F = G.field
+    reps = {0: unit_ideal(F)}
+    disc = _min_poly_disc(F.min_poly)
+    nm = G.modulus.norm
+    for ell in islice(primes_stream(), 200):
+        if len(reps) == G.order:
+            break
+        if disc % ell and nm % ell:
+            for v in factor_prime(ell, F):
+                i = G.class_of_prime(v)
+                if i not in reps:
+                    reps[i] = prime_to_ideal(v, F)
+    # product fill: the classes the found ideals generate
+    found = list(reps.items())
+    queue = list(found)
+    for i, a in queue:
+        for j, b in found:
+            t = G.multiply(i, j)
+            if t not in reps:
+                reps[t] = ideal_product(a, b, F)
+                queue.append((t, reps[t]))
+    if len(reps) < G.order:
+        raise ArithmeticError("representative sweep did not reach every class")
+    return tuple(reps[i] for i in range(G.order))
+
+
 def test_representatives_are_distinct_and_coprime(F2, F3, seven2):
     for F, modulus in ((F3, unit_ideal(F3)), (F2, seven2)):
         G = ray_class_group(unit_image_in_modulus(F, modulus))
-        reps = G.representatives()
+        reps = representatives(G)
         assert len(reps) == G.order
         assert [G.class_of(a) for a in reps] == list(range(G.order))
 
@@ -141,7 +176,7 @@ def cayley_oracle(ui):
         for k2 in range(h):
             prod = ideal_product(wide_reps[k1], wide_reps[k2], F)
             k3 = wide_class_of(prod, wide_reps, F)
-            law[k1, k2] = (k3, _principal_part(prod, k3, wide_reps, csg, quotient, F))
+            law[k1, k2] = (k3, principal_part(prod, k3, wide_reps, csg, quotient, F))
 
     def code_mul(c1, c2):
         (k1, q1), (k2, q2) = c1, c2
@@ -184,3 +219,37 @@ def test_exact_sequence_law_matches_the_cayley_oracle():
     # Q(sqrt229) has wide class number 3 and a factor set that is not zero
     assert len(wide_class_reps(real_quadratic_field(229))) == 3
     assert 229 in cocycles
+
+
+def test_the_field_stage_matches_the_pairwise_oracles():
+    """One WideClassGroup per field gives each modulus the representatives,
+    wide_mult and factor set that the pairwise oracles build for it alone,
+    and the class index of every split prime below 100."""
+    for d in (2, 3, 5, 6, 7, 10, 11, 13, 79, 223, 229, 399, 1111):
+        F = real_quadratic_field(d)
+        wide = WideClassGroup(F)
+        for modulus, _ in moduli_upto(F, 12):
+            ui = unit_image_in_modulus(F, modulus)
+            G = ray_class_group(ui, wide)
+            reps = wide_class_reps(F, coprime_to=modulus)
+            assert G.wide_reps == reps, (d, modulus.hnf)
+            prods = [[ideal_product(a, b, F) for b in reps] for a in reps]
+            wide_mult = tuple(tuple(wide_class_of(c, reps, F) for c in row) for row in prods)
+            assert G.wide_mult == wide_mult, (d, modulus.hnf)
+            shift = tuple(
+                tuple(
+                    principal_part(c, k, reps, ui.csg, G.unit_quotient, F)
+                    for c, k in zip(row, ks)
+                )
+                for row, ks in zip(prods, wide_mult)
+            )
+            assert G.shift == shift, (d, modulus.hnf)
+        G = ray_class_group(unit_image_in_modulus(F, unit_ideal(F)), wide)
+        disc = _min_poly_disc(F.min_poly)
+        for ell in takewhile(lambda ell: ell < 100, primes_stream()):
+            if disc % ell:
+                for v in factor_prime(ell, F):
+                    if v.f == 1:
+                        a = prime_to_ideal(v, F)
+                        k = G.class_of(a) // G.unit_quotient.order
+                        assert k == wide_class_of(a, G.wide_reps, F), (d, ell)
