@@ -11,7 +11,7 @@ arithmetic; no floating point enters any result path.
 
 __version__ = "0.1.0"
 
-from .classnumber import WideClassGroup, real_quadratic_field
+from .classnumber import real_quadratic_field
 from .congruence import residue_sign_group
 from .cli import FieldStages, ModulusStages, SweepConfig, moduli_upto, run_invariants, run_verify
 from .eigen import EigenReport, eigensystem_report
@@ -71,7 +71,6 @@ __all__ = [
     "TorsionObstruction",
     "TpScan",
     "ValidationError",
-    "WideClassGroup",
     "compute_rp",
     "compute_tp",
     "degree_two_pullback",

@@ -133,27 +133,23 @@ class WideClassGroup:
             i += 1
 
 
-def wide_class_reps(
-    F: FieldDescriptor, coprime_to: IdealHNF = None, wide: WideClassGroup = None
-):
+def wide_class_reps(F: FieldDescriptor, coprime_to: IdealHNF, wide: WideClassGroup):
     """Representatives of every wide class, identity first.
 
     Reps are the unit ideal plus, in the order of ell and then of
     degree_one_primes_over, the first degree-1 prime of each new class, all
     coprime to the given ideal; the class number says when to stop, and
     primes above CLASS_CLOSURE_CAP are never tried.  Classes are told apart
-    by the labels of wide, the field's WideClassGroup (a fresh one when
-    None); a prime over the conductor of a non-maximal order is not
-    invertible, lies in no class and is skipped.  Fields other than real
-    quadratic ones must have class number 1.
+    by the labels of wide, the field's WideClassGroup; a prime over the
+    conductor of a non-maximal order is not invertible, lies in no class and
+    is skipped.  Fields other than real quadratic ones must have class
+    number 1.
     """
-    if wide is None:
-        wide = WideClassGroup(F)
     reps = [unit_ideal(F)]
     if wide.order == 1:
         return tuple(reps)
     seen = {wide.label(reps[0])}
-    skip = coprime_to.norm if coprime_to is not None else 1
+    skip = coprime_to.norm
     for ell, v, label in wide.degree_one_primes():
         if skip % ell and label is not None and label not in seen:
             seen.add(label)

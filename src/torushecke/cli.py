@@ -595,7 +595,9 @@ def main(argv=None):
         return 1
     except OSError as e:
         # a descriptor that cannot be read or an --out that cannot be written
-        print(f"{type(e).__name__}: {e.filename}: {e.strerror}", file=sys.stderr)
+        # names its path; a failed write to a stream has none to name
+        reason = e if e.filename is None else f"{e.filename}: {e.strerror}"
+        print(f"{type(e).__name__}: {reason}", file=sys.stderr)
         return 1
 
 

@@ -189,6 +189,6 @@ def ray_class_group(ui: UnitImage, wide: WideClassGroup = None):
     )
 
 
-def narrow_class_number(F: FieldDescriptor, wide: WideClassGroup = None):
+def narrow_class_number(F: FieldDescriptor):
     """h_plus of the field: ray classes for the trivial modulus."""
-    return ray_class_group(unit_image_in_modulus(F, unit_ideal(F)), wide).order
+    return ray_class_group(unit_image_in_modulus(F, unit_ideal(F))).order

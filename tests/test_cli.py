@@ -445,6 +445,15 @@ def test_a_missing_descriptor_is_one_stderr_line(tmp_path, capsys):
     assert captured.err == f"FileNotFoundError: {path}: No such file or directory\n"
 
 
+def test_an_os_error_without_a_path_is_one_stderr_line(monkeypatch, capsys):
+    def closed(text, out_path):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_emit", closed)
+    assert main(["field", "info", "--d", "2"]) == 1
+    assert capsys.readouterr().err == "BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
 def test_main_reports_a_value_error_without_a_traceback(monkeypatch, capsys):
     def refuse(F):
         raise ValueError("no narrow class number here")
