@@ -391,7 +391,9 @@ def find_generator(field: FqField) -> FqElement:
 
     Candidates are scanned in ascending integer encoding starting from 2,
     and each candidate's order is verified against the factored group order.
-    Fields larger than the cap are refused so trial division stays honest.
+    When f > 1 the scan starts at ell instead: the encodings below ell are
+    the constants F_ell, whose orders divide ell - 1 < q - 1.  Fields larger
+    than the cap are refused so trial division stays honest.
     """
     q = field.order
     if q > GENERATOR_FIELD_CAP:
@@ -400,7 +402,7 @@ def find_generator(field: FqField) -> FqElement:
         # trivial multiplicative group: its generator is the identity
         return field.one()
     fac = factor_int(q - 1)
-    for enc in range(2, q):
+    for enc in range(field.ell if field.f > 1 else 2, q):
         x = field.from_int(enc)
         if x.is_zero():
             continue

@@ -357,15 +357,22 @@ class PsiReport(NamedTuple):
 
 
 def psi_report(G: RayClassGroup, E: EUnits, scan: TpScan):
-    """Measure the pairing H^1-block one class block at a time.
+    """Measure the pairing H^1-block.
 
     The domain is one copy of the stacked-character span per class; the
     image is spanned by H_phi 1_a, which is phi in the one block z^-1 * a
-    (z the identity shift of H_phi), so its rank is the sum of the block
-    ranks.  Both ranks are reported as measured; the verify checks compare
-    them with h_plus * t_p.
+    (z the identity shift of H_phi).  The identity is checked to fix every
+    code, wide_mult[0][k] = k and shift[0][k] = 0 (ArithmeticError
+    otherwise), so every block sees the same rows and the image dimension
+    is h_plus times the F_p rank of the visited rows.  Both ranks are
+    reported as measured; the verify checks compare them with
+    h_plus * t_p.
     """
     scan.require_target()
+    codes = enumerate(zip(G.wide_mult[0], G.shift[0]))
+    fixed = all(k == j and not any(s) for j, (k, s) in codes)
+    if not fixed or G.inverse(G.identity) != G.identity:
+        raise ArithmeticError("the identity shift does not fix every class code")
     p = scan.p
     r = G.field.unit_rank
     r_p = compute_rp(G.field, p)
@@ -374,12 +381,7 @@ def psi_report(G: RayClassGroup, E: EUnits, scan: TpScan):
     dim_H0 = h
     dim_H1 = h * r
     dim_domain = h * scan.t_p
-    z_inv = G.inverse(G.identity)
-    blocks = [FpRankAccumulator(p, r) for _ in range(h)]
-    for phi in scan.visited:
-        for a in range(h):
-            blocks[G.multiply(z_inv, a)].add(phi.values)
-    dim_image = sum(acc.rank for acc in blocks)
+    dim_image = h * fp_rank([phi.values for phi in scan.visited], p)
     return PsiReport(
         p=p,
         h_plus=h,

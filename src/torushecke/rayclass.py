@@ -47,14 +47,6 @@ class RayClassGroup(NamedTuple):
     def identity(self):
         return 0
 
-    @property
-    def generators(self):
-        """Q's basis vectors, then the lifts (k, 0) of the wide representatives."""
-        n = len(self.unit_quotient.factors)
-        basis = [(0, tuple(int(i == j) for i in range(n))) for j in range(n)]
-        lifts = [(k, (0,) * n) for k in range(1, len(self.wide_reps))]
-        return tuple(self._encode(k, q) for k, q in basis + lifts)
-
     def _decode(self, i):
         k, rest = divmod(i, self.unit_quotient.order)
         q = []
@@ -90,7 +82,12 @@ class RayClassGroup(NamedTuple):
 
     def snf_coords(self, i):
         """Coordinates of class i in prod Z/d over the invariant factors."""
-        return self.snf.project(_exponents(*self._decode(i), len(self.wide_reps)))
+        return self.code_coords(*self._decode(i))
+
+    def code_coords(self, k, q):
+        """SNF coordinates of the exponent vector of (k, q), q not reduced
+        mod Q's factors: linear in q, and in the indicator of k."""
+        return self.snf.project(_exponents(k, q, len(self.wide_reps)))
 
     def class_of(self, a: IdealHNF):
         """Index of the class of an integral ideal coprime to the modulus."""

@@ -4,7 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -654,6 +656,26 @@ def test_class_group_output_is_byte_identical(argv, capsys):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == RHO_CYCLE_SHA256[argv]
+
+
+# h_plus 69120 on each of its 3 moduli; sha256 of stdout as computed at
+# a829a07, when the census and the pairing still looped over every class
+HUGE_HPLUS_ARGV = "invariants --d 2 --prime 13 --modulus-norm 1334025"
+HUGE_HPLUS_SHA256 = "4e1db942d36fc322b9638ed5411e168e8b86950bf27886431eb22f92075791fd"
+
+
+def test_huge_hplus_output_is_byte_identical_in_a_fresh_process():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "torushecke", *HUGE_HPLUS_ARGV.split()],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout).hexdigest() == HUGE_HPLUS_SHA256
 
 
 @pytest.mark.parametrize(

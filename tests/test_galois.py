@@ -104,6 +104,29 @@ def test_find_generator_int_small_primes():
         assert find_generator(extension_field(ell, 1)).encode() == g
 
 
+def _least_generator_from_two(fld):
+    """The least encoding from 2 up whose powers reach all q - 1 units,
+    constants of F_ell included, with orders counted by repeated products."""
+    one = fld.one()
+    for enc in range(2, fld.order):
+        x = fld.from_int(enc)
+        if x.is_zero():
+            continue
+        y, order = x, 1
+        while y != one:
+            y, order = y * x, order + 1
+        if order == fld.order - 1:
+            return x
+    raise AssertionError("no generator")
+
+
+def test_find_generator_skips_the_prime_field_constants_harmlessly():
+    for ell in (2, 3, 5, 7, 11, 13):
+        for f in (2, 3):
+            fld = extension_field(ell, f)
+            assert find_generator(fld) == _least_generator_from_two(fld), (ell, f)
+
+
 def test_is_prime_against_sieve():
     limit = 2000
     sieve = [True] * (limit + 1)

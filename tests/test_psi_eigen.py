@@ -1,11 +1,14 @@
 """End-to-end pairing reports, eigensystem matching, degree-2 vanishing."""
 
 import random
+from functools import reduce
 from itertools import product as iter_product
 from math import lcm
+from operator import mul
 
 import pytest
 
+from torushecke.abgroup import QuotientStructure
 from torushecke.classnumber import real_quadratic_field
 from torushecke.cli import moduli_of_norm, moduli_upto
 from torushecke.eigen import (
@@ -32,6 +35,50 @@ from torushecke.rayclass import RayClassGroup, ray_class_group
 from torushecke.units import unit_image_in_modulus
 
 
+def generators(G: RayClassGroup):
+    """Q's basis vectors, then the lifts (k, 0) of the wide representatives."""
+    n = len(G.unit_quotient.factors)
+    basis = [(0, tuple(int(i == j) for i in range(n))) for j in range(n)]
+    lifts = [(k, (0,) * n) for k in range(1, len(G.wide_reps))]
+    return tuple(G._encode(k, q) for k, q in basis + lifts)
+
+
+def per_class_eigensystem_report(G: RayClassGroup, scan: TpScan):
+    """The census class by class in exponent arithmetic: every generator
+    shift against every class, O(|G| * gens) products.  A reference oracle."""
+    p = scan.p
+    primed = tuple(_p_prime_part(d, p) for d in G.invariant_factors())
+    coords = [G.snf_coords(i) for i in range(G.order)]
+    # the shift by z scales every character by its value at z
+    matched = all(
+        (xzb - xz - xb) % dp == 0
+        for z in generators(G)
+        for b in range(G.order)
+        for xzb, xz, xb, dp in zip(coords[G.multiply(z, b)], coords[z], coords[b], primed)
+    )
+    phi = scan.certificate[0] if scan.certificate else None
+    return EigenReport(
+        p=p,
+        extension_degree=multiplicative_order(p, lcm(*primed)),
+        count=reduce(mul, primed, 1),
+        matched_both_degrees=matched,
+        degree_one_witness=phi is not None and any(v % p for v in phi.values),
+        t_p=scan.t_p,
+    )
+
+
+def per_class_dim_image(G: RayClassGroup, scan: TpScan):
+    """The pairing image as the sum of its class-block ranks: every scanned
+    row lands in the block z^-1 * a of every class a.  A reference oracle."""
+    p = scan.p
+    z_inv = G.inverse(G.identity)
+    blocks = [FpRankAccumulator(p, G.field.unit_rank) for _ in range(G.order)]
+    for phi in scan.visited:
+        for a in range(G.order):
+            blocks[G.multiply(z_inv, a)].add(phi.values)
+    return sum(acc.rank for acc in blocks)
+
+
 def fq_eigensystem_report(G: RayClassGroup, scan: TpScan):
     """The census element by element over F_{p^k}: the reference oracle."""
     p = scan.p
@@ -48,7 +95,7 @@ def fq_eigensystem_report(G: RayClassGroup, scan: TpScan):
     r = G.field.unit_rank
     coords = [G.snf_coords(i) for i in range(h)]
     weights = tuple(m // dp for dp in primed)
-    gen_classes = G.generators
+    gen_classes = generators(G)
 
     phi = scan.certificate[0] if scan.certificate else None
     lifted_phi = None
@@ -249,7 +296,7 @@ def test_budget_shortfall_is_raised_not_reported(F2, one2, stages):
 SWEEP_D = (2, 3, 5, 6, 7, 10, 11, 13)
 
 
-def test_census_matches_the_fq_oracle_on_the_sweep(stages):
+def test_census_matches_the_fq_oracle_on_the_sweep(F2, stages):
     # the fields and primes of acceptance criterion 4, moduli of norm <= 10
     seen = 0
     for d in SWEEP_D:
@@ -260,13 +307,17 @@ def test_census_matches_the_fq_oracle_on_the_sweep(stages):
                 if norm % p == 0:
                     continue
                 G, _, scan = stages(F, modulus, p)
-                assert eigensystem_report(G, scan) == fq_eigensystem_report(G, scan), (
-                    d,
-                    modulus.hnf,
-                    p,
-                )
+                census = eigensystem_report(G, scan)
+                assert census == fq_eigensystem_report(G, scan), (d, modulus.hnf, p)
+                assert census == per_class_eigensystem_report(G, scan), (d, modulus.hnf, p)
                 seen += 1
     assert seen == 172
+    # the large-hplus configuration, against the class-by-class census
+    (modulus,) = moduli_of_norm(F2, 1152)
+    G, _, scan = stages(F2, modulus, 5)
+    census = eigensystem_report(G, scan)
+    assert census == per_class_eigensystem_report(G, scan)
+    assert census.matched_both_degrees and census.count == 128
 
 
 def test_census_sees_a_corrupted_multiplication_table(F2, seven2, stages):
@@ -308,6 +359,7 @@ def test_block_ranks_match_the_full_width_oracle(F2, stages):
                     continue
                 G, E, scan = stages(F, modulus, p)
                 want = full_width_dim_image(G, scan)
+                assert per_class_dim_image(G, scan) == want, (d, modulus.hnf, p)
                 assert psi_report(G, E, scan).dim_image == want, (d, modulus.hnf, p)
                 seen += 1
     assert seen == 172
@@ -315,7 +367,8 @@ def test_block_ranks_match_the_full_width_oracle(F2, stages):
     (modulus,) = moduli_of_norm(F2, 1152)
     G, E, scan = stages(F2, modulus, 5)
     assert G.order == 128
-    assert psi_report(G, E, scan).dim_image == full_width_dim_image(G, scan) == 128
+    want = full_width_dim_image(G, scan)
+    assert psi_report(G, E, scan).dim_image == per_class_dim_image(G, scan) == want == 128
 
 
 def test_pairing_and_census_make_linearly_many_products(F2, stages, monkeypatch):
@@ -339,3 +392,78 @@ def test_pairing_and_census_make_linearly_many_products(F2, stages, monkeypatch)
     assert psi.is_isomorphism and census.matched_both_degrees
     n_gens = len(G.unit_quotient.factors) + len(G.wide_reps) - 1
     assert 0 < len(calls) <= G.order * (len(scan.visited) + n_gens + 1)
+
+
+def _class_number_three_stages(stages):
+    # Q(sqrt229), h_wide 3, a modulus over 5 with Q = Z/4, so G = Z/12
+    F = real_quadratic_field(229)
+    modulus = moduli_of_norm(F, 5)[0]
+    G, E, scan = stages(F, modulus, 7)
+    assert len(G.wide_reps) == 3 and G.unit_quotient.factors == (4,)
+    return G, E, scan
+
+
+def _bumped(G, s):
+    """s + (1, ..., 1) in Q: a shift entry moved off its true value."""
+    return tuple((x + 1) % f for x, f in zip(s, G.unit_quotient.factors))
+
+
+def test_pairing_refuses_an_identity_that_moves_a_code(stages):
+    G, E, scan = _class_number_three_stages(stages)
+    assert psi_report(G, E, scan).dim_image == 12 * scan.t_p
+    row = G.wide_mult[0]
+    permuted = G._replace(wide_mult=((row[1], row[0], row[2]),) + G.wide_mult[1:])
+    shifts = G.shift[0]
+    shifted = G._replace(shift=((shifts[0], _bumped(G, shifts[1]), shifts[2]),) + G.shift[1:])
+    for broken in (permuted, shifted):
+        with pytest.raises(ArithmeticError, match="identity shift"):
+            psi_report(broken, E, scan)
+
+
+def test_census_sees_a_corrupted_cocycle_entry_at_class_number_three(stages):
+    G, _, scan = _class_number_three_stages(stages)
+    shifts = G.shift[1]
+    broken = G._replace(
+        shift=G.shift[:1] + ((shifts[0], shifts[1], _bumped(G, shifts[2])),) + G.shift[2:]
+    )
+    for census in (eigensystem_report, per_class_eigensystem_report):
+        assert census(G, scan).matched_both_degrees
+        assert not census(broken, scan).matched_both_degrees
+
+
+def test_census_sees_q_wrap_below_the_order_of_its_image(stages):
+    # Q = Z/4 read as Z/2: every lifted product still adds, but q wraps at
+    # 2 where its image in G = Z/12 has order 4, which only the wraps see
+    G, _, scan = _class_number_three_stages(stages)
+    broken = G._replace(unit_quotient=G.unit_quotient._replace(factors=(2,)))
+    for census in (eigensystem_report, per_class_eigensystem_report):
+        assert not census(broken, scan).matched_both_degrees
+
+
+@pytest.mark.parametrize("norm, prime, order", [(1152, 5, 128), (1334025, 13, 69120)])
+def test_pairing_and_census_cost_does_not_grow_with_the_group(
+    F2, stages, monkeypatch, norm, prime, order
+):
+    # one projection per wide pair, wide lift and wrap of Q, and one
+    # inverse, at |G| = 128 and at |G| = 69120 alike
+    modulus = moduli_of_norm(F2, norm)[0]
+    G, E, scan = stages(F2, modulus, prime)
+    assert G.order == order
+    calls = []
+
+    def counted(method):
+        def wrapper(*args):
+            calls.append(method.__name__)
+            return method(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(QuotientStructure, "project", counted(QuotientStructure.project))
+    for name in ("multiply", "inverse"):
+        monkeypatch.setattr(RayClassGroup, name, counted(getattr(RayClassGroup, name)))
+    psi = psi_report(G, E, scan)
+    census = eigensystem_report(G, scan)
+    assert psi.dim_image == psi.dim_domain == order * scan.t_p
+    assert census.matched_both_degrees
+    h_wide = len(G.wide_reps)
+    assert 0 < len(calls) <= h_wide**2 + len(G.unit_quotient.factors) + h_wide + 2
