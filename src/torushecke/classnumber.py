@@ -2,7 +2,9 @@
 
 The class number of a native field is the number of rho-cycles of reduced
 ideals (forms.py).  WideClassGroup names each class by its cycle, once per
-field; representatives are degree-one primes with distinct labels.
+field; representatives are degree-one primes with distinct labels, read off
+the field's prime table (the norm-ell entries of primes.prime_ideals_over),
+so each rational prime is factored once per field.
 """
 
 from math import gcd
@@ -10,28 +12,13 @@ from math import gcd
 from .errors import CapExceeded, Inconclusive, ValidationError
 from .field import FieldDescriptor, poly_discriminant, validate_descriptor
 from .forms import RhoCycles, wide_class_number
-from .galois import distinct_roots, factor_int, is_prime
-from .ideals import IdealHNF, conjugate_ideal, ideal_from_generators, ideal_product, unit_ideal
+from .galois import factor_int, is_prime
+from .ideals import IdealHNF, conjugate_ideal, ideal_product, unit_ideal
 from .principal import FOUND, NOT_FOUND, ideal_form, principal_generator
 from .units import fundamental_unit_real_quadratic
 
 NATIVE_DISC_CAP = 10**6
 CLASS_CLOSURE_CAP = 10**4
-
-
-def degree_one_primes_over(F: FieldDescriptor, ell):
-    """HNF ideals of the degree-1 primes over ell, ramified included.
-
-    Inert primes are principal as ideals, so they never matter for class
-    representatives and are not produced.
-    """
-    n = F.degree
-    out = []
-    for t in distinct_roots(F.min_poly, ell):
-        ell_elt = (ell,) + (0,) * (n - 1)
-        g_elt = tuple((-t, 1) + (0,) * (n - 2))
-        out.append(ideal_from_generators([ell_elt, g_elt], F))
-    return out
 
 
 class WideClassGroup:
@@ -48,11 +35,17 @@ class WideClassGroup:
     arithmetic and no search.  A class number 1 field has the single class
     of (1), generated by 1, and never searches.  Nothing that raised is
     kept.
+
+    primes_over(ell) is the field's prime table, (ideal, norm) for each
+    prime over ell as primes.prime_ideals_over(F, ell) lists them (in the
+    CLI, FieldStages.prime_ideals_over, shared with the moduli listing and
+    the residue groups).
     """
 
-    def __init__(self, F: FieldDescriptor):
+    def __init__(self, F: FieldDescriptor, primes_over):
         self.field = F
         self.order = F.class_number
+        self._primes_over = primes_over
         self._primes = []  # (ell, degree-one prime, label), ascending ell
         self._ell = 1
         self._cycles = None
@@ -118,7 +111,10 @@ class WideClassGroup:
         return self._generators[key]
 
     def degree_one_primes(self):
-        """The degree-one primes with their labels, listed as far as asked."""
+        """The degree-one primes with their labels, listed as far as asked:
+        by ascending ell, and over one ell by ascending root t of
+        (ell, theta - t), read off the HNF column (h, 1) with h = -t mod ell.
+        Ramified primes are included, inert ones (principal) are not."""
         i = 0
         while True:
             while i == len(self._primes):
@@ -126,7 +122,8 @@ class WideClassGroup:
                 if ell > CLASS_CLOSURE_CAP:
                     raise ArithmeticError("class representative sweep exhausted its cap")
                 if is_prime(ell):
-                    over = degree_one_primes_over(self.field, ell)
+                    over = [v for v, norm in self._primes_over(ell) if norm == ell]
+                    over.sort(key=lambda v: -v.hnf[0][1] % ell)
                     self._primes.extend([(ell, v, self.label(v)) for v in over])
                 self._ell = ell
             yield self._primes[i]
@@ -136,14 +133,14 @@ class WideClassGroup:
 def wide_class_reps(F: FieldDescriptor, coprime_to: IdealHNF, wide: WideClassGroup):
     """Representatives of every wide class, identity first.
 
-    Reps are the unit ideal plus, in the order of ell and then of
-    degree_one_primes_over, the first degree-1 prime of each new class, all
-    coprime to the given ideal; the class number says when to stop, and
-    primes above CLASS_CLOSURE_CAP are never tried.  Classes are told apart
-    by the labels of wide, the field's WideClassGroup; a prime over the
-    conductor of a non-maximal order is not invertible, lies in no class and
-    is skipped.  Fields other than real quadratic ones must have class
-    number 1.
+    Reps are the unit ideal plus, in the order of wide.degree_one_primes,
+    the first degree-1 prime of each new class, all coprime to the given
+    ideal; the class number says when to stop, and primes above
+    CLASS_CLOSURE_CAP are never tried.  Classes are told apart by the
+    labels of wide, the field's WideClassGroup; a prime over the conductor
+    of a non-maximal order is not invertible, lies in no class and is
+    skipped.  Fields other than real quadratic ones must have class number
+    1.
     """
     reps = [unit_ideal(F)]
     if wide.order == 1:

@@ -24,10 +24,10 @@ from .congruence import RESIDUE_ENUMERATION_CAP
 from .eigen import eigensystem_report
 from .errors import RAN_OUT, TorusHeckeError, ValidationError
 from .field import FieldDescriptor, load_descriptor, poly_discriminant
-from .galois import factor_int, is_prime
+from .galois import balanced_coeffs, factor_int, is_prime
 from .hecke import ScanRows, compute_tp, psi_report, scan_t1, spanning_set
 from .ideals import IdealHNF, ideal_product, unit_ideal
-from .primes import balanced_coeffs, prime_ideals_over
+from .primes import prime_ideals_over
 from .rayclass import narrow_class_number, ray_class_group
 from .units import e_units, unit_image_in_modulus
 
@@ -104,7 +104,7 @@ class FieldStages:
 
     @cached_property
     def wide(self):
-        return WideClassGroup(self.field)
+        return WideClassGroup(self.field, self.prime_ideals_over)
 
     def scan_rows(self, p):
         if p not in self._scan_rows:
@@ -186,7 +186,7 @@ def assemble_report(stages: ModulusStages, p: int, budget: int = DEFAULT_BUDGET)
             "matched_both_degrees": eig.matched_both_degrees,
         },
     }
-    return psi, eig, report
+    return report
 
 
 def named_checks(report):
@@ -215,7 +215,7 @@ def named_checks(report):
 def run_invariants(stages: ModulusStages, p: int, budget: int = DEFAULT_BUDGET):
     """Report dict; raises ArithmeticError if the rank identity or the
     pairing dimensions fail."""
-    _, _, report = assemble_report(stages, p, budget)
+    report = assemble_report(stages, p, budget)
     # rank-identity and pairing-dimensions come first: they hold whatever
     # the hypothesis
     for name, ok in named_checks(report)[:2]:
@@ -226,7 +226,7 @@ def run_invariants(stages: ModulusStages, p: int, budget: int = DEFAULT_BUDGET):
 
 def verify_config(stages: ModulusStages, p: int, budget: int):
     """Named pass/fail checks for one configuration, and its report."""
-    _, _, report = assemble_report(stages, p, budget)
+    report = assemble_report(stages, p, budget)
     return named_checks(report), report
 
 
@@ -448,6 +448,8 @@ def cmd_verify(args):
         fields.append(load_descriptor(args.descriptor))
     for d in args.d or []:
         fields.append(real_quadratic_field(d))
+    if not fields:
+        raise ValidationError("one of --d or --descriptor is required")
     sweep = SweepConfig(
         fields=tuple(fields),
         modulus_norm_bound=args.modulus_norm,

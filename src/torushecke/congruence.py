@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .abgroup import PolycyclicClosure, closure_from_stream
 from .errors import CapExceeded
 from .field import FieldDescriptor, element_mul, real_signs
-from .galois import factor_int
+from .galois import factor_int, power
 from .ideals import IdealHNF, ideal_product, ideal_sum, rational_ideal, residue_transversal
 from .primes import prime_ideals_over
 
@@ -82,15 +82,13 @@ class CongruenceSignGroup(NamedTuple):
         read, so the result can check them."""
         F = self.field
         reduce = self.modulus.reduce
+
+        def mul(x, y):
+            return reduce(element_mul(x, y, F))
+
         acc = reduce(F.one())
         for x, e in zip(elements, exponents):
-            e %= self.residue_order
-            base = reduce(x)
-            while e:
-                if e & 1:
-                    acc = reduce(element_mul(acc, base, F))
-                base = reduce(element_mul(base, base, F))
-                e >>= 1
+            acc = power(reduce(x), e % self.residue_order, mul, acc)
         return acc
 
 

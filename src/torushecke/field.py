@@ -13,7 +13,7 @@ from typing import NamedTuple
 from . import sturm
 from .errors import ValidationError
 from .forms import fundamental_unit, power_basis, wide_class_number
-from .galois import factor_int, is_prime, poly_is_irreducible, poly_trim
+from .galois import factor_int, is_prime, poly_is_irreducible, poly_trim, power
 from .intlinalg import IntMatrix, det
 
 IRREDUCIBILITY_SCAN_LIMIT = 300
@@ -85,14 +85,7 @@ def element_mul(x, y, F: FieldDescriptor):
 def element_pow(x, e, F: FieldDescriptor):
     if e < 0:
         raise ValueError("negative powers need a unit inverse; use unit machinery")
-    acc = F.one()
-    base = x
-    while e:
-        if e & 1:
-            acc = element_mul(acc, base, F)
-        base = element_mul(base, base, F)
-        e >>= 1
-    return acc
+    return power(x, e, lambda a, b: element_mul(a, b, F), F.one())
 
 
 def multiplication_matrix(x, F: FieldDescriptor):
@@ -108,11 +101,6 @@ def multiplication_matrix(x, F: FieldDescriptor):
 
 def element_norm(x, F: FieldDescriptor):
     return det(multiplication_matrix(x, F))
-
-
-def element_trace(x, F: FieldDescriptor):
-    m = multiplication_matrix(x, F)
-    return sum(m[i, i] for i in range(F.degree))
 
 
 def element_unit_inverse(x, F: FieldDescriptor):

@@ -47,6 +47,17 @@ def is_prime(n):
     return True
 
 
+def power(x, e, mul, acc):
+    """acc * x^e for an integer e >= 0, by square-and-multiply under mul."""
+    while e:
+        if e & 1:
+            acc = mul(acc, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return acc
+
+
 def primes_stream(start=2):
     n = max(2, start)
     while True:
@@ -76,13 +87,7 @@ def poly_add(a, b, ell):
 
 
 def poly_sub(a, b, ell):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] - x) % ell
-    return poly_trim(out)
+    return poly_add(a, tuple(-x % ell for x in b), ell)
 
 
 def poly_mul(a, b, ell):
@@ -118,21 +123,14 @@ def poly_mod(a, b, ell):
 def poly_gcd(a, b, ell):
     while b:
         a, b = b, poly_mod(a, b, ell)
-    if a:
-        inv = pow(a[-1], ell - 2, ell)
-        a = tuple((c * inv) % ell for c in a)
-    return a
+    return poly_monic(a, ell)
 
 
 def poly_powmod(a, e, mod, ell):
-    result = (1,)
-    a = poly_mod(a, mod, ell)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, a, ell), mod, ell)
-        a = poly_mod(poly_mul(a, a, ell), mod, ell)
-        e >>= 1
-    return result
+    def mul(x, y):
+        return poly_mod(poly_mul(x, y, ell), mod, ell)
+
+    return power(poly_mod(a, mod, ell), e, mul, (1,))
 
 
 def poly_monic(a, ell):
@@ -180,11 +178,12 @@ def factor_poly_mod_ell(coeffs, ell):
     factors = {}
     _factor_with_multiplicity(f, ell, 1, factors)
     items = [(g, m) for g, m in factors.items()]
-    items.sort(key=lambda gm: (len(gm[0]), _balanced_tuple(gm[0], ell)))
+    items.sort(key=lambda gm: (len(gm[0]), balanced_coeffs(gm[0], ell)))
     return items
 
 
-def _balanced_tuple(g, ell):
+def balanced_coeffs(g, ell):
+    """Coefficients folded into (-ell/2, ell/2]; the factor and scan order."""
     half = ell // 2
     return tuple(((c + half) % ell) - half for c in g)
 
@@ -275,15 +274,6 @@ def _equal_degree_split(g, d, ell):
     return out
 
 
-def distinct_roots(coeffs, ell):
-    """Roots in F_ell of a polynomial, each listed once, ascending."""
-    roots = []
-    for g, _ in factor_poly_mod_ell(coeffs, ell):
-        if len(g) == 2:
-            roots.append((-g[0]) % ell)
-    return sorted(roots)
-
-
 # ---------------------------------------------------------------------------
 # extension fields
 
@@ -346,43 +336,14 @@ class FqElement(NamedTuple):
         return self.field.element(poly_sub(self.coords, other.coords, self.field.ell))
 
     def __pow__(self, e):
-        fld = self.field
         if e < 0:
             return self.inverse() ** (-e)
-        acc = fld.one()
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return power(self, e, FqElement.__mul__, self.field.one())
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         return self ** (self.field.order - 2)
-
-
-@lru_cache(maxsize=None)
-def extension_field(ell, f):
-    """F_{ell^f} modulo the first irreducible monic polynomial of degree f,
-    in lexicographic coefficient order.
-    """
-    counters = [0] * f
-    while True:
-        cand = tuple(counters) + (1,)
-        if poly_is_irreducible(cand, ell):
-            return FqField(ell, f, cand)
-        i = 0
-        while i < f:
-            counters[i] += 1
-            if counters[i] < ell:
-                break
-            counters[i] = 0
-            i += 1
-        else:
-            raise ArithmeticError("no irreducible polynomial found")
 
 
 @lru_cache(maxsize=None)

@@ -153,31 +153,22 @@ def unit_functional(v: PrimeIdeal, eunits, p: int):
     return _functional(v, g, row, eunits, p)
 
 
-def _scan_primes_over(F: FieldDescriptor, ell: int, p: int, residue_degree):
-    """The primes over ell in the scan stream, in factor_prime's order: none
-    when ell is p or divides disc(min_poly), else those with p | N(v) - 1
-    (and of residue degree residue_degree, if given).  N(v) = ell^f, so an
-    ell with ell^f != 1 mod p is dropped before it is factored."""
-    if ell == p or _min_poly_disc(F.min_poly) % ell == 0:
-        return ()
-    if residue_degree is not None and pow(ell, residue_degree, p) != 1:
-        return ()
-    return tuple(
-        v
-        for v in factor_prime(ell, F)
-        if (residue_degree is None or v.f == residue_degree) and (v.norm - 1) % p == 0
-    )
-
-
 def t1_primes(F: FieldDescriptor, modulus: IdealHNF, p: int, residue_degree=None):
-    """Ascending stream of scan primes: coprime to p, the modulus, and
-    disc(min_poly), with p dividing the residue norm minus one.  With
-    residue_degree f, only primes of degree f, and an ell with
-    ell^f != 1 mod p is skipped unfactored (it has no such prime)."""
+    """Ascending stream of scan primes (over one ell, in factor_prime's
+    order): coprime to p, the modulus, and disc(min_poly), with p dividing
+    the residue norm minus one.  With residue_degree f, only primes of
+    degree f, and an ell with ell^f != 1 mod p is skipped unfactored (it
+    has no such prime)."""
     nm = modulus.norm
+    disc = _min_poly_disc(F.min_poly)
     for ell in primes_stream():
-        if nm % ell:
-            yield from _scan_primes_over(F, ell, p, residue_degree)
+        if nm % ell == 0 or ell == p or disc % ell == 0:
+            continue
+        if residue_degree is not None and pow(ell, residue_degree, p) != 1:
+            continue
+        for v in factor_prime(ell, F):
+            if (residue_degree is None or v.f == residue_degree) and (v.norm - 1) % p == 0:
+                yield v
 
 
 class ScanRows:
@@ -186,26 +177,26 @@ class ScanRows:
     An ascending list of (v, g, row), row = generator_characters(v, p, F)
     on unit_generators(F), extended on demand one prime at a time.  It
     depends on F and p only, so every modulus of F reads the same list
-    (compute_tp skips the v over primes dividing its norm).  A prime joins
-    the list only once its row is built: a construction that raises leaves
-    the list as it was, and the next reader meets the same error.
+    (compute_tp skips the v over primes dividing its norm).  The primes are
+    t1_primes of the unit ideal with residue degree 1.  A prime joins the
+    list only once its row is built; until then it is held as pending, so a
+    construction that raises leaves the list as it was, and the next reader
+    meets the same error.
     """
 
     def __init__(self, F: FieldDescriptor, p: int):
         self.field = F
         self.p = p
         self._rows = []
-        self._ell = 1
-        self._pending = ()
+        self._primes = t1_primes(F, unit_ideal(F), p, residue_degree=1)
+        self._pending = None
 
     def _grow(self):
-        ell, pending = self._ell, self._pending
-        while not pending:
-            ell = next(primes_stream(ell + 1))
-            pending = _scan_primes_over(self.field, ell, self.p, 1)
-        g, row = generator_characters(pending[0], self.p, self.field)
-        self._rows.append((pending[0], g, row))
-        self._ell, self._pending = ell, pending[1:]
+        if self._pending is None:
+            self._pending = next(self._primes)
+        g, row = generator_characters(self._pending, self.p, self.field)
+        self._rows.append((self._pending, g, row))
+        self._pending = None
 
     def walk(self, norm: int):
         """(v, g, row) in ascending order, skipping the v over primes

@@ -6,6 +6,7 @@ ideals is equality of matrices, the norm is the diagonal product, and the
 box of vectors below the diagonal is an exact transversal of the quotient.
 """
 
+from itertools import product
 from typing import NamedTuple
 
 from .field import FieldDescriptor, element_mul
@@ -106,27 +107,14 @@ def conjugate_ideal(a: IdealHNF, F: FieldDescriptor):
 
 
 def residue_transversal(a: IdealHNF):
-    """All canonical representatives of Z^n modulo the ideal, lex order.
+    """All canonical representatives of Z^n modulo the ideal, lex order
+    (last coordinate fastest).
 
-    The count equals the norm; intended for moduli below the enumeration cap.
+    The box below the diagonal is already hnf-reduced, so it needs no
+    normalization.  The count equals the norm; intended for moduli below
+    the enumeration cap.
     """
-    n = a.dim
-    diag = [a.hnf[i][i] for i in range(n)]
-    reps = []
-    idx = [0] * n
-    while True:
-        # box vectors are already hnf-reduced, no normalization needed
-        reps.append(tuple(idx))
-        i = n - 1
-        while i >= 0:
-            idx[i] += 1
-            if idx[i] < diag[i]:
-                break
-            idx[i] = 0
-            i -= 1
-        if i < 0:
-            break
-    return reps
+    return list(product(*(range(a.hnf[i][i]) for i in range(a.dim))))
 
 
 def element_is_coprime_to(x, a: IdealHNF, F: FieldDescriptor):

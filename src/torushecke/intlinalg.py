@@ -35,16 +35,6 @@ class IntMatrix(NamedTuple):
         i, j = ij
         return self.entries[i][j]
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch")
-    bt = list(zip(*b.entries)) if b.entries else []
-    out = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries
-    )
-    return IntMatrix(a.rows, b.cols, out)
-
-
 def det(m: IntMatrix) -> int:
     """Determinant by fraction-free Bareiss elimination."""
     if m.rows != m.cols:
@@ -246,7 +236,3 @@ def hnf_reduce(h, vec):
             for k in range(i + 1):
                 x[k] -= q * h[k][i]
     return tuple(x)
-
-
-def hnf_contains(h, vec):
-    return all(c == 0 for c in hnf_reduce(h, vec))

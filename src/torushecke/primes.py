@@ -89,9 +89,3 @@ def residue_image(x, v: PrimeIdeal):
     """Reduction O_F -> kappa_v sending theta to the class of t."""
     kappa = residue_field(v)
     return kappa.element(tuple(c % v.ell for c in x))
-
-
-def balanced_coeffs(g, ell):
-    """Coefficients folded into (-ell/2, ell/2]; the scan's tiebreak order."""
-    half = ell // 2
-    return tuple(((c + half) % ell) - half for c in g)

@@ -7,6 +7,7 @@ to a generator.  Higher degree falls back to bounded box enumeration and
 reports exhaustion honestly as inconclusive rather than as absence.
 """
 
+from itertools import product
 from math import gcd
 from typing import NamedTuple
 
@@ -77,22 +78,11 @@ def _quadratic_search(a: IdealHNF, F: FieldDescriptor, cycles):
 
 
 def _box_search(a: IdealHNF, F: FieldDescriptor, radius):
-    """Exhaustive coordinate box scan; exhaustion is only inconclusive."""
-    n = F.degree
+    """Exhaustive coordinate box scan, last coordinate fastest; exhaustion
+    is only inconclusive."""
     m = a.norm
-    idx = [-radius] * n
-    while True:
-        x = tuple(idx)
-        if any(idx) and a.contains(x) and abs(element_norm(x, F)) == m:
+    for x in product(range(-radius, radius + 1), repeat=F.degree):
+        if any(x) and a.contains(x) and abs(element_norm(x, F)) == m:
             if principal_ideal(x, F) == a:
                 return PrincipalSearchResult(FOUND, x)
-        i = n - 1
-        while i >= 0:
-            idx[i] += 1
-            if idx[i] <= radius:
-                break
-            idx[i] = -radius
-            i -= 1
-        if i < 0:
-            break
     return PrincipalSearchResult(INCONCLUSIVE)

@@ -8,6 +8,7 @@ products of representatives fall back into the transversal, so the group
 law needs no ideal arithmetic after construction and nothing per class.
 """
 
+from functools import partial
 from typing import NamedTuple
 
 from .abgroup import QuotientStructure, quotient_structure
@@ -15,8 +16,9 @@ from .classnumber import WideClassGroup, wide_class_reps
 from .congruence import CongruenceSignGroup
 from .errors import ValidationError
 from .field import FieldDescriptor
+from .galois import power
 from .ideals import IdealHNF, conjugate_ideal, ideal_is_coprime, ideal_product, unit_ideal
-from .primes import prime_to_ideal
+from .primes import prime_ideals_over, prime_to_ideal
 from .units import UnitImage, unit_image_in_modulus
 
 
@@ -72,10 +74,7 @@ class RayClassGroup(NamedTuple):
         return self._encode(k_inv, tuple(-x - z for x, z in zip(q, self.shift[k][k_inv])))
 
     def power(self, i, e):
-        acc = 0
-        for _ in range(e % self.order):
-            acc = self.multiply(acc, i)
-        return acc
+        return power(i, e % self.order, self.multiply, self.identity)
 
     def invariant_factors(self):
         return self.snf.factors
@@ -133,14 +132,14 @@ def ray_class_group(ui: UnitImage, wide: WideClassGroup = None):
     """Narrow ray class group of the modulus the unit image was built for.
 
     wide is the field's WideClassGroup, shared by its moduli; a fresh one
-    when None.  What is left per modulus is the choice of representatives
-    coprime to it and their images in Q.
+    on primes.prime_ideals_over when None.  What is left per modulus is the
+    choice of representatives coprime to it and their images in Q.
     """
     csg = ui.csg
     F = csg.field
     modulus = csg.modulus
     if wide is None:
-        wide = WideClassGroup(F)
+        wide = WideClassGroup(F, partial(prime_ideals_over, F))
     quotient = quotient_structure(csg.full_relation_columns, ui.map_columns, csg.width)
     wide_reps = wide_class_reps(F, coprime_to=modulus, wide=wide)
     h = len(wide_reps)

@@ -135,22 +135,6 @@ def isolate_real_roots(coeffs):
     return out
 
 
-def refine_interval(coeffs, interval, rounds=1):
-    """Halve an isolating interval, keeping the single root inside."""
-    p = fpoly_trim(coeffs)
-    chain = sturm_chain(p)
-    lo, hi = interval
-    for _ in range(rounds):
-        if fpoly_eval(p, lo) == 0 or count_roots_between(chain, lo, hi) != 1:
-            raise ValueError("not an isolating interval")
-        mid = _nonroot_split(p, lo, hi)
-        if count_roots_between(chain, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 def check_isolating(f_coeffs, interval):
     """Refuse (lo, hi] unless it holds exactly one root of f and neither
     endpoint is a root, as the Sturm-Tarski query requires."""

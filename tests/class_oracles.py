@@ -7,11 +7,31 @@ an ideal with no shared state, against which the field-level
 classnumber.WideClassGroup is checked.
 """
 
-from torushecke.classnumber import CLASS_CLOSURE_CAP, degree_one_primes_over
+from torushecke.classnumber import CLASS_CLOSURE_CAP
 from torushecke.errors import Inconclusive, ValidationError
-from torushecke.galois import is_prime
-from torushecke.ideals import conjugate_ideal, ideal_product, unit_ideal
+from torushecke.galois import factor_poly_mod_ell, is_prime
+from torushecke.ideals import conjugate_ideal, ideal_from_generators, ideal_product, unit_ideal
 from torushecke.principal import FOUND, NOT_FOUND, principal_generator
+
+
+def distinct_roots(coeffs, ell):
+    """Roots in F_ell of a polynomial, each listed once, ascending."""
+    roots = []
+    for g, _ in factor_poly_mod_ell(coeffs, ell):
+        if len(g) == 2:
+            roots.append((-g[0]) % ell)
+    return sorted(roots)
+
+
+def degree_one_primes_over(F, ell):
+    """HNF ideals (ell, theta - t) of the degree-1 primes over ell, ramified
+    included, by ascending root t; inert primes are not produced."""
+    n = F.degree
+    ell_elt = (ell,) + (0,) * (n - 1)
+    return [
+        ideal_from_generators([ell_elt, (-t, 1) + (0,) * (n - 2)], F)
+        for t in distinct_roots(F.min_poly, ell)
+    ]
 
 
 def ideals_wide_equivalent(a, b, F):

@@ -4,8 +4,13 @@ import random
 from math import gcd, isqrt
 
 from torushecke.abgroup import ExponentGroup, closure_from_stream
-from class_oracles import ideals_wide_equivalent, wide_class_of, wide_class_reps
-from torushecke.classnumber import degree_one_primes_over, real_quadratic_field
+from class_oracles import (
+    degree_one_primes_over,
+    ideals_wide_equivalent,
+    wide_class_of,
+    wide_class_reps,
+)
+from torushecke.classnumber import real_quadratic_field
 from torushecke.cli import moduli_upto
 from torushecke.congruence import residue_sign_group
 from torushecke.field import FieldDescriptor, element_mul, poly_discriminant, validate_descriptor

@@ -225,7 +225,7 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
     for log, fn, key in (
         (characters, hecke.generator_characters, lambda v, p, F: (F.label, p, v)),
         (ideals_over, prime_ideals_over, lambda F, ell: (F.label, ell)),
-        (wide_stages, classnumber.WideClassGroup, lambda F: F.label),
+        (wide_stages, classnumber.WideClassGroup, lambda F, primes_over: F.label),
     ):
         _patch_every_binding_site(monkeypatch, fn, recording(log, fn, key))
     calls.update(dict.fromkeys(stages, 0))
@@ -494,7 +494,7 @@ def p_major_verify(sweep):
                 head = {"field": F.label, "modulus_norm": norm, "modulus_hnf": hnf, "p": p}
                 try:
                     stages = ModulusStages(FieldStages(F), modulus, sweep.cap_residue)
-                    _, _, report = cli.assemble_report(stages, p, sweep.budget)
+                    report = cli.assemble_report(stages, p, sweep.budget)
                     checks = cli.named_checks(report)
                 except (TorusHeckeError, ArithmeticError, ValueError) as e:
                     ran_out |= isinstance(e, RAN_OUT)
@@ -859,6 +859,14 @@ def test_cli_validation_error_exit_code(capsys):
 def test_cli_requires_field_choice(capsys):
     assert main(["invariants", "--prime", "5"]) == 1
     assert "--d or --descriptor" in capsys.readouterr().err
+
+
+def test_cli_verify_requires_a_field_like_every_verb(capsys):
+    # no field would sweep zero configurations and pass vacuously
+    assert main(["verify", "--modulus-norm", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ValidationError: one of --d or --descriptor is required\n"
 
 
 def test_cli_usage_errors_exit_two():

@@ -13,15 +13,21 @@ from torushecke.field import (
     element_mul,
     element_norm,
     element_pow,
-    element_trace,
     element_unit_inverse,
     is_totally_positive,
     load_descriptor,
+    multiplication_matrix,
     poly_discriminant,
     real_signs,
     validate_descriptor,
 )
 from torushecke.sturm import tarski_sign
+
+
+def element_trace(x, F):
+    m = multiplication_matrix(x, F)
+    return sum(m[i, i] for i in range(F.degree))
+
 
 GOOD = {
     "label": "Q(sqrt2)",

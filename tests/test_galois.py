@@ -5,15 +5,16 @@ import random
 import pytest
 
 from torushecke.errors import CharacterUndefined, GeneratorError
+from class_oracles import distinct_roots
+from galois_oracles import extension_field
 from torushecke.galois import (
-    distinct_roots,
-    extension_field,
     factor_poly_mod_ell,
     find_generator,
     is_prime,
     poly_is_irreducible,
     poly_mul,
     poly_trim,
+    power,
     pth_character,
     verify_generator,
 )
@@ -25,6 +26,26 @@ def _poly_product(factors, ell):
         for _ in range(mult):
             acc = poly_mul(acc, g, ell)
     return acc
+
+
+def test_power_against_builtin_pow():
+    """acc * x^e under a modular product, at e = 0, 1, 2^k - 1 (every bit
+    set) and random e, from acc = 1 and from acc != 1."""
+    rng = random.Random(18)
+    for m in (2, 7, 97, 2**61 - 1, 10**12 + 39):
+
+        def mul(a, b):
+            return a * b % m
+
+        exponents = [0, 1] + [2**k - 1 for k in range(1, 70, 7)]
+        exponents += [rng.randrange(2**80) for _ in range(10)]
+        for e in exponents:
+            x = rng.randrange(m)
+            assert power(x, e, mul, 1) == pow(x, e, m)
+            acc = rng.randrange(2, m) if m > 2 else 1
+            assert power(x, e, mul, acc) == acc * pow(x, e, m) % m
+    # at e = 0 acc comes back untouched and mul is never called
+    assert power(None, 0, None, "acc") == "acc"
 
 
 def test_factorization_reconstructs_input():

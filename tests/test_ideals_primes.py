@@ -4,9 +4,10 @@ import random
 
 import pytest
 
+from torushecke.cli import moduli_upto
 from torushecke.errors import RamifiedOrIndexPrime
 from torushecke.field import element_mul, element_norm
-from torushecke.galois import is_prime
+from torushecke.galois import balanced_coeffs, is_prime
 from torushecke.ideals import (
     conjugate_ideal,
     element_is_coprime_to,
@@ -20,7 +21,6 @@ from torushecke.ideals import (
     unit_ideal,
 )
 from torushecke.primes import (
-    balanced_coeffs,
     factor_prime,
     prime_to_ideal,
     residue_field,
@@ -61,6 +61,17 @@ def test_transversal_size_and_reduction(F2, seven2):
     for _ in range(50):
         x = (rng.randint(-99, 99), rng.randint(-99, 99))
         assert seven2.reduce(x) in repset
+
+
+def test_transversal_is_the_hnf_box_in_sorted_lex_order(F2, F3):
+    for F in (F2, F3):
+        for modulus, norm in moduli_upto(F, 60):
+            reps = residue_transversal(modulus)
+            assert reps == sorted(reps)
+            assert len(set(reps)) == len(reps) == norm
+            diag = [modulus.hnf[i][i] for i in range(modulus.dim)]
+            assert all(0 <= x < d for r in reps for x, d in zip(r, diag))
+            assert all(modulus.reduce(r) == r for r in reps)
 
 
 def test_reduce_is_ring_homomorphism(F2, seven2):

@@ -6,13 +6,25 @@ from torushecke.intlinalg import (
     IntMatrix,
     det,
     hnf_columns,
-    hnf_contains,
     hnf_reduce,
     kernel_basis,
-    mat_mul,
     smith_normal_form,
     snf_diagonal,
 )
+
+
+def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    bt = list(zip(*b.entries)) if b.entries else []
+    out = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries
+    )
+    return IntMatrix(a.rows, b.cols, out)
+
+
+def hnf_contains(h, vec):
+    return all(c == 0 for c in hnf_reduce(h, vec))
 
 
 def _random_matrix(rng, rows, cols, bound=9):

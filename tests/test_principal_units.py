@@ -4,7 +4,8 @@ from math import isqrt
 
 import pytest
 
-from torushecke.classnumber import degree_one_primes_over, real_quadratic_field
+from class_oracles import degree_one_primes_over
+from torushecke.classnumber import real_quadratic_field
 from torushecke.errors import TorsionObstruction
 from torushecke.field import (
     FieldDescriptor,

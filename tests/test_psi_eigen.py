@@ -20,7 +20,8 @@ from torushecke.eigen import (
 from torushecke.errors import BudgetShortfall
 from torushecke.exterior import MultiVector
 from torushecke.fplinalg import FpRankAccumulator
-from torushecke.galois import extension_field, find_generator
+from galois_oracles import extension_field
+from torushecke.galois import find_generator
 from torushecke.hecke import (
     CohomologyClass,
     HeckeElement,

@@ -1,18 +1,19 @@
 """Ray class group law, codes, and representative sweeps."""
 
+from functools import partial
 from itertools import islice, takewhile
 from itertools import product as iter_product
 
 import pytest
 
 from torushecke.abgroup import closure_from_stream, quotient_structure
-from class_oracles import principal_part, wide_class_of, wide_class_reps
+from class_oracles import degree_one_primes_over, principal_part, wide_class_of, wide_class_reps
 from torushecke.classnumber import WideClassGroup, real_quadratic_field
-from torushecke.cli import moduli_upto
+from torushecke.cli import moduli_of_norm, moduli_upto
 from torushecke.errors import ValidationError
 from torushecke.galois import primes_stream
 from torushecke.ideals import ideal_product, rational_ideal, unit_ideal
-from torushecke.primes import _min_poly_disc, factor_prime, prime_to_ideal
+from torushecke.primes import _min_poly_disc, factor_prime, prime_ideals_over, prime_to_ideal
 from torushecke.rayclass import narrow_class_number, ray_class_group
 from torushecke.units import unit_image_in_modulus
 
@@ -69,6 +70,22 @@ def test_power_and_order(F2, seven2):
         assert G.power(i, -1) == G.inverse(i)
         # element order divides group order
         assert G.power(i, G.order) == G.identity
+
+
+def test_power_matches_repeated_multiplication_on_the_norm_1152_group(F2):
+    (modulus,) = moduli_of_norm(F2, 1152)
+    G = ray_class_group(unit_image_in_modulus(F2, modulus))
+    n = G.order
+    assert n == 128
+    for i in range(n):
+        # i^e for e >= 0 and (i^-1)^e for e > 0, one multiply at a time
+        up, down = [G.identity], [G.identity]
+        i_inv = G.inverse(i)
+        for _ in range(2 * n):
+            up.append(G.multiply(up[-1], i))
+            down.append(G.multiply(down[-1], i_inv))
+        for e in range(-n, 2 * n):
+            assert G.power(i, e) == (up[e] if e >= 0 else down[-e]), (i, e)
 
 
 def test_snf_coords_faithful(F2, seven2):
@@ -221,13 +238,27 @@ def test_exact_sequence_law_matches_the_cayley_oracle():
     assert 229 in cocycles
 
 
+def test_the_field_stage_lists_the_degree_one_primes_of_the_oracle():
+    """The degree-one primes read off the field's prime table, by ascending
+    ell and root, are the oracle's (ell, theta - t) over the roots t."""
+    for d in (79, 223, 229, 399, 1111):
+        F = real_quadratic_field(d)
+        wide = WideClassGroup(F, partial(prime_ideals_over, F))
+        listed = [
+            (ell, v) for ell, v, _ in takewhile(lambda e: e[0] < 400, wide.degree_one_primes())
+        ]
+        ells = takewhile(lambda ell: ell < 400, primes_stream())
+        want = [(ell, v) for ell in ells for v in degree_one_primes_over(F, ell)]
+        assert listed == want, d
+
+
 def test_the_field_stage_matches_the_pairwise_oracles():
     """One WideClassGroup per field gives each modulus the representatives,
     wide_mult and factor set that the pairwise oracles build for it alone,
     and the class index of every split prime below 100."""
     for d in (2, 3, 5, 6, 7, 10, 11, 13, 79, 223, 229, 399, 1111):
         F = real_quadratic_field(d)
-        wide = WideClassGroup(F)
+        wide = WideClassGroup(F, partial(prime_ideals_over, F))
         for modulus, _ in moduli_upto(F, 12):
             ui = unit_image_in_modulus(F, modulus)
             G = ray_class_group(ui, wide)

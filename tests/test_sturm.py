@@ -12,17 +12,33 @@ import mpmath
 import pytest
 
 from torushecke.sturm import (
+    _nonroot_split,
     count_real_roots,
     count_roots_between,
     fpoly_eval,
     fpoly_trim,
     isolate_real_roots,
-    refine_interval,
     sign_at_root,
     sturm_chain,
 )
 
 mpmath.mp.dps = 50
+
+
+def refine_interval(coeffs, interval, rounds=1):
+    """Halve an isolating interval, keeping the single root inside."""
+    p = fpoly_trim(coeffs)
+    chain = sturm_chain(p)
+    lo, hi = interval
+    for _ in range(rounds):
+        if fpoly_eval(p, lo) == 0 or count_roots_between(chain, lo, hi) != 1:
+            raise ValueError("not an isolating interval")
+        mid = _nonroot_split(p, lo, hi)
+        if count_roots_between(chain, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def _rem(a, b):
