@@ -36,7 +36,7 @@ class WideClassGroup:
     of (1), generated by 1, and never searches.  Nothing that raised is
     kept.
 
-    primes_over(ell) is the field's prime table, (ideal, norm) for each
+    primes_over(ell) is the field's prime table, (ideal, norm, g) for each
     prime over ell as primes.prime_ideals_over(F, ell) lists them (in the
     CLI, FieldStages.prime_ideals_over, shared with the moduli listing and
     the residue groups).
@@ -122,7 +122,7 @@ class WideClassGroup:
                 if ell > CLASS_CLOSURE_CAP:
                     raise ArithmeticError("class representative sweep exhausted its cap")
                 if is_prime(ell):
-                    over = [v for v, norm in self._primes_over(ell) if norm == ell]
+                    over = [v for v, norm, _ in self._primes_over(ell) if norm == ell]
                     over.sort(key=lambda v: -v.hnf[0][1] % ell)
                     self._primes.extend([(ell, v, self.label(v)) for v in over])
                 self._ell = ell

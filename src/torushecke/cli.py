@@ -63,7 +63,7 @@ def _prime_blocks(F: FieldDescriptor, ells, bound, primes_over):
     prime_ideals_over when it is None."""
     if primes_over is None:
         primes_over = partial(prime_ideals_over, F)
-    return [(a, n) for ell in ells for a, n in primes_over(ell) if n <= bound]
+    return [(a, n) for ell in ells for a, n, _ in primes_over(ell) if n <= bound]
 
 
 def moduli_upto(F: FieldDescriptor, bound, primes_over=None):

@@ -1,34 +1,89 @@
 """The finite ambient group (O/N)^x cross {+-1}^r1 and discrete logs in it.
 
 O/N is the product of its local rings O/q over the primary components q of
-N, one for each prime P containing N (CRT).  Each (O/q)^x is closed into a
-polycyclic presentation from the residues of the HNF box of q that lie
-outside P, so the work is the sum of the component norms, not the norm of
-N.  Any element coprime to the order then gets an exponent vector: the
-local coordinates of x mod q for each component in turn, followed by one
-mod-2 sign coordinate per real place.  The relation lattice is block
-diagonal over the components and the sign block.  Unit images, ray class
-codes, and index computations all reduce to lattice work on these vectors.
+N, one for each prime P containing N (CRT).  A prime component q = P is the
+residue field O/P, whose unit group is cyclic of order N(P) - 1: it gets one
+generator and its logs by Pohlig-Hellman, with no enumeration.  A proper
+prime power q = P^k is closed into a polycyclic presentation from the
+residues of its HNF box that lie outside P, so the work is the sum of the
+norms of those components, not the norm of N.  Any element coprime to the
+order then gets an exponent vector: the local coordinates of x mod q for
+each component in turn, followed by one mod-2 sign coordinate per real
+place.  The relation lattice is block diagonal over the components and the
+sign block.  Unit images, ray class codes, and index computations all
+reduce to lattice work on these vectors.
 """
 
+import operator
 from functools import partial
 from typing import NamedTuple
 
 from .abgroup import PolycyclicClosure, closure_from_stream
 from .errors import CapExceeded
 from .field import FieldDescriptor, element_mul, real_signs
-from .galois import factor_int, power
+from .galois import CyclicGroup, factor_int, find_generator, power
 from .ideals import IdealHNF, ideal_product, ideal_sum, rational_ideal, residue_transversal
-from .primes import prime_ideals_over
+from .primes import PrimeIdeal, prime_ideals_over, residue_field, residue_image
 
 RESIDUE_ENUMERATION_CAP = 10**5
 
 
-class ResidueComponent(NamedTuple):
-    """(O/q)^x for one primary component q of the modulus."""
+class BoxComponent(NamedTuple):
+    """(O/q)^x for a proper prime power q, closed over the box of q."""
 
     primary: IdealHNF
     closure: PolycyclicClosure
+
+    @property
+    def ngens(self):
+        return self.closure.ngens
+
+    @property
+    def order(self):
+        return self.closure.order
+
+    @property
+    def relation_columns(self):
+        return self.closure.relation_columns
+
+    def log(self, x):
+        local = self.closure.dlog.get(self.primary.reduce(x))
+        if local is None:
+            raise ValueError(f"element {x} is not coprime to the modulus")
+        return local
+
+
+class PrimeComponent(NamedTuple):
+    """(O/P)^x for a prime component, cyclic of order N(P) - 1.
+
+    residue maps O onto O/P (the integers mod ell when N(P) = ell), zero is
+    its zero, and group is the unit group on its generator.  The one
+    coordinate is the log to the generator; at order 1 there is none, as
+    the closure of the one unit 1 has no generator.
+    """
+
+    primary: IdealHNF
+    residue: object
+    zero: object
+    group: CyclicGroup
+
+    @property
+    def order(self):
+        return self.group.order
+
+    @property
+    def ngens(self):
+        return 1 if self.order > 1 else 0
+
+    @property
+    def relation_columns(self):
+        return ((self.order,),) if self.order > 1 else ()
+
+    def log(self, x):
+        y = self.residue(x)
+        if y == self.zero:
+            raise ValueError(f"element {x} is not coprime to the modulus")
+        return (self.group.log(y),) if self.order > 1 else ()
 
 
 class CongruenceSignGroup(NamedTuple):
@@ -41,7 +96,7 @@ class CongruenceSignGroup(NamedTuple):
 
     @property
     def n_residue_gens(self):
-        return sum(c.closure.ngens for c in self.components)
+        return sum(c.ngens for c in self.components)
 
     @property
     def n_sign_coords(self):
@@ -55,7 +110,7 @@ class CongruenceSignGroup(NamedTuple):
     def residue_order(self):
         out = 1
         for c in self.components:
-            out *= c.closure.order
+            out *= c.order
         return out
 
     @property
@@ -66,10 +121,7 @@ class CongruenceSignGroup(NamedTuple):
         """Exponent vector of a coprime element: local dlogs then sign bits."""
         vec = []
         for c in self.components:
-            local = c.closure.dlog.get(c.primary.reduce(x))
-            if local is None:
-                raise ValueError(f"element {x} is not coprime to the modulus")
-            vec.extend(local)
+            vec.extend(c.log(x))
         if self.n_sign_coords:
             for s in real_signs(x, self.field):
                 vec.append(0 if s == 1 else 1)
@@ -93,9 +145,10 @@ class CongruenceSignGroup(NamedTuple):
 
 
 def primary_components(F: FieldDescriptor, modulus: IdealHNF, primes_over=None):
-    """(P, q) for each prime P containing the modulus, q its P-primary part.
+    """(P, g, q) for each prime P = (ell, g(theta)) containing the modulus,
+    q its P-primary part.
 
-    primes_over(ell) lists the (ideal, norm) of the primes over ell, as
+    primes_over(ell) lists the (ideal, norm, g) of the primes over ell, as
     primes.prime_ideals_over(F, ell) does (the default); a caller with
     several moduli of F hands in one table so each ell is factored once.
 
@@ -115,20 +168,20 @@ def primary_components(F: FieldDescriptor, modulus: IdealHNF, primes_over=None):
     for ell, v in sorted(ells.items()):
         part = modulus if len(ells) == 1 else ideal_sum(modulus, rational_ideal(ell**v, F))
         cols = part.basis_columns()
-        over = [P for P, _ in primes_over(ell) if all(map(P.contains, cols))]
+        over = [(P, g) for P, _, g in primes_over(ell) if all(map(P.contains, cols))]
         if len(over) == 1:
-            out.append((over[0], part))
+            out.append((*over[0], part))
             continue
-        for P in over:
+        for P, g in over:
             q = P
             while True:
                 nxt = ideal_sum(part, ideal_product(P, q, F))
                 if nxt == q:
                     break
                 q = nxt
-            out.append((P, q))
+            out.append((P, g, q))
     total = 1
-    for _, q in out:
+    for _, _, q in out:
         total *= q.norm
     if total != nm:
         raise ArithmeticError(f"primary components have norm {total}, not N(m) = {nm}")
@@ -152,30 +205,59 @@ def _local_units(F: FieldDescriptor, P: IdealHNF, q: IdealHNF):
     return closure
 
 
+def _prime_units(P: IdealHNF, g_poly):
+    """(O/P)^x from the residue field F_ell[t]/(g), theta -> t, where
+    P = (ell, g(theta)).  P contains no ell' other than ell, so the HNF of P
+    starts with ell; at degree one its diagonal is (ell, 1, ..., 1), the
+    residue of x is the integer P.reduce(x)[0] and products are mod ell."""
+    v = PrimeIdeal(ell=P.hnf[0][0], f=len(g_poly) - 1, g_poly=g_poly)
+    kappa = residue_field(v)
+    if kappa.order != P.norm:
+        raise ArithmeticError(f"residue field of order {kappa.order} at N(P) = {P.norm}")
+    generator = find_generator(kappa)
+    if v.f == 1:
+        ell = v.ell
+
+        def residue(x):
+            return P.reduce(x)[0]
+
+        def mul(a, b):
+            return a * b % ell
+
+        zero, one, generator = 0, 1, generator.encode()
+    else:
+        residue = partial(residue_image, v=v)
+        mul = operator.mul
+        zero, one = kappa.zero(), kappa.one()
+    group = CyclicGroup(generator, factor_int(kappa.order - 1), mul, one)
+    return PrimeComponent(primary=P, residue=residue, zero=zero, group=group)
+
+
 def residue_sign_group(
     F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP, primes_over=None
 ):
     """Build the ambient group for a modulus.
 
-    cap bounds the norm of each primary component, the largest box that is
-    enumerated; a larger one refuses before any enumeration.  primes_over
-    is handed to primary_components."""
-    pairs = primary_components(F, modulus, primes_over)
-    for _, q in pairs:
+    cap bounds the norm of each primary component, and a larger one refuses
+    before any work; only the boxes of proper prime powers are enumerated.
+    primes_over is handed to primary_components."""
+    triples = primary_components(F, modulus, primes_over)
+    for _, _, q in triples:
         if q.norm > cap:
             raise CapExceeded(
                 f"primary component of norm {q.norm} exceeds enumeration cap {cap}"
             )
     components = tuple(
-        ResidueComponent(primary=q, closure=_local_units(F, P, q)) for P, q in pairs
+        _prime_units(P, g) if q == P else BoxComponent(primary=q, closure=_local_units(F, P, q))
+        for P, g, q in triples
     )
     r1 = F.signature[0]
-    width = sum(c.closure.ngens for c in components) + r1
+    width = sum(c.ngens for c in components) + r1
     cols = []
     offset = 0
     for c in components:
-        k = c.closure.ngens
-        for rel in c.closure.relation_columns:
+        k = c.ngens
+        for rel in c.relation_columns:
             cols.append((0,) * offset + rel + (0,) * (width - offset - k))
         offset += k
     for j in range(r1):

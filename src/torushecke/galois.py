@@ -10,6 +10,7 @@ reproducible.
 
 import random
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple
 
 from .errors import CapExceeded, CharacterUndefined, GeneratorError
@@ -56,6 +57,60 @@ def power(x, e, mul, acc):
         if e:
             x = mul(x, x)
     return acc
+
+
+class CyclicGroup:
+    """The cyclic group of order n = prod r^e over factors (prime ->
+    exponent) on the generator g under mul, with discrete logs.
+
+    The order of g is proved here: g^n = one and g^(n/r) != one for each r.
+    log is Pohlig-Hellman over the prime powers r^e of n: the log mod r^e
+    of x is the k with h^k = x^(n/r^e) for h = g^(n/r^e) of order r^e,
+    found by baby-step giant-step on a table built here.  The residues are
+    joined by CRT and the answer is checked by g^k = x.  Elements must be
+    hashable.
+    """
+
+    def __init__(self, g, factors, mul, one):
+        n = 1
+        for r, e in factors.items():
+            n *= r**e
+        if power(g, n, mul, one) != one:
+            raise ArithmeticError(f"generator order does not divide {n}")
+        for r in factors:
+            if power(g, n // r, mul, one) == one:
+                raise ArithmeticError(f"generator order divides {n}/{r}")
+        self.generator, self.order, self.mul, self.one = g, n, mul, one
+        self._parts = []
+        for r, e in sorted(factors.items()):
+            re = r**e
+            h = power(g, n // re, mul, one)
+            steps = isqrt(re - 1) + 1
+            baby = {}
+            y = one
+            for j in range(steps):
+                baby[y] = j
+                y = mul(y, h)
+            self._parts.append((re, n // re, steps, baby, power(h, -steps % re, mul, one)))
+
+    def log(self, x):
+        """The k in [0, n) with g^k = x; ArithmeticError if there is none."""
+        mul, one = self.mul, self.one
+        k, m = 0, 1
+        for re, cofactor, steps, baby, giant in self._parts:
+            y = power(x, cofactor, mul, one)
+            for i in range(steps):
+                if y in baby:
+                    k_r = i * steps + baby[y]
+                    break
+                y = mul(y, giant)
+            else:
+                raise ArithmeticError(f"element outside the subgroup of order {re}")
+            k += m * ((k_r - k) * pow(m, -1, re) % re)
+            m *= re
+        if power(self.generator, k, mul, one) != x:
+            raise ArithmeticError("discrete log does not reproduce the element")
+        return k
 
 
 def primes_stream(start=2):
@@ -363,12 +418,20 @@ def find_generator(field: FqField) -> FqElement:
         # trivial multiplicative group: its generator is the identity
         return field.one()
     fac = factor_int(q - 1)
+    if field.f == 1:
+        # F_ell is the integers mod ell, so a candidate is tested as one
+        def is_generator(enc):
+            return all(pow(enc, (q - 1) // r, q) != 1 for r in fac)
+    else:
+        one = field.one()
+
+        def is_generator(enc):
+            x = field.from_int(enc)
+            return all(x ** ((q - 1) // r) != one for r in fac)
+
     for enc in range(field.ell if field.f > 1 else 2, q):
-        x = field.from_int(enc)
-        if x.is_zero():
-            continue
-        if all(not (x ** ((q - 1) // r) - field.one()).is_zero() for r in fac):
-            return x
+        if is_generator(enc):
+            return field.from_int(enc)
     raise GeneratorError("multiplicative group has no generator?")
 
 

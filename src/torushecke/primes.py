@@ -1,11 +1,12 @@
 """Splitting of rational primes in Z[theta] and reduction to residue fields.
 
-PrimeIdeal and the residue maps handle only primes coprime to
-disc(min_poly); that single exclusion removes both ramified primes and
-primes dividing the index of Z[theta] in the maximal order, so factoring
-the minimal polynomial mod ell tells the whole story there.  The ideal
-listing (prime_ideals_over) takes every ell: the maximal ideals of Z[theta]
-over ell are read off the same factorization, multiplicities aside.
+factor_prime handles only primes coprime to disc(min_poly); that single
+exclusion removes both ramified primes and primes dividing the index of
+Z[theta] in the maximal order, so factoring the minimal polynomial mod ell
+tells the whole story there.  The ideal listing (prime_ideals_over) takes
+every ell: the maximal ideals of Z[theta] over ell are read off the same
+factorization, multiplicities aside, and the residue maps hold for each of
+them, as Z[theta]/(ell, g(theta)) = F_ell[t]/(g) for any irreducible g.
 """
 
 from functools import lru_cache
@@ -66,15 +67,15 @@ def prime_to_ideal(v: PrimeIdeal, F: FieldDescriptor):
 
 
 def prime_ideals_over(F: FieldDescriptor, ell):
-    """(ideal, norm) for every prime of Z[theta] over ell, ramified and index
-    primes included.
+    """(ideal, norm, g) for every prime of Z[theta] over ell, ramified and
+    index primes included.
 
     Z[theta]/(ell) = F_ell[x]/(min_poly mod ell), so its maximal ideals are
     the (ell, g(theta)) for the distinct monic irreducible factors g, in
-    factor_prime's order.
+    factor_prime's order; the residue field of each is F_ell[t]/(g).
     """
     return [
-        (_prime_ideal(ell, g, F), ell ** (len(g) - 1))
+        (_prime_ideal(ell, g, F), ell ** (len(g) - 1), g)
         for g, _ in factor_poly_mod_ell(F.min_poly, ell)
     ]
 

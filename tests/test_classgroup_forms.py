@@ -19,6 +19,7 @@ from torushecke.galois import factor_int, is_prime
 from torushecke.ideals import (
     element_is_coprime_to,
     ideal_product,
+    rational_ideal,
     residue_transversal,
     unit_ideal,
 )
@@ -229,7 +230,7 @@ def _oracle_moduli(F2, F3):
         F = real_quadratic_field(d)
         out += [(F, a) for a, _ in moduli_upto(F, 10)]
     # P^k over the ramified 2 of Q(sqrt2)
-    (P, _), = prime_ideals_over(F2, 2)
+    (P, _, _), = prime_ideals_over(F2, 2)
     power = P
     for _ in range(8):
         out.append((F2, power))
@@ -243,6 +244,12 @@ def _oracle_moduli(F2, F3):
     for d in (229, 249):
         F = real_quadratic_field(d)
         out += [(F, a) for a, _ in moduli_upto(F, 12)]
+    # prime components closed by a generator and Pohlig-Hellman logs: the
+    # split primes of the large-index bench (431 - 1 = 2*5*43,
+    # 433 - 1 = 2^4*3^3, 439 - 1 = 2*3*73) and inert primes of degree 2
+    for ell in (431, 433, 439):
+        out += [(F2, prime_to_ideal(v, F2)) for v in factor_prime(ell, F2)]
+    out += [(F2, rational_ideal(ell, F2)) for ell in (19, 29)]
     zeta7_plus = FieldDescriptor(
         label="Q(zeta7)^+",
         min_poly=(-1, -2, 1, 1),
@@ -255,6 +262,8 @@ def _oracle_moduli(F2, F3):
     )
     validate_descriptor(zeta7_plus)
     out += [(zeta7_plus, a) for a, _ in moduli_upto(zeta7_plus, 40)]
+    # 5 is inert in Q(zeta7)^+: a residue field of degree 3
+    out.append((zeta7_plus, rational_ideal(5, zeta7_plus)))
     return out
 
 

@@ -311,7 +311,8 @@ def test_residue_group_enumerates_only_its_primary_components(monkeypatch, F2):
     _patch_every_binding_site(monkeypatch, transversal, counting_transversal)
     _patch_every_binding_site(monkeypatch, coprime, counting_coprime)
     csg = congruence.residue_sign_group(F2, modulus)
-    assert sum(visited) <= 128 + 9
+    # the prime (3) is a residue field: only the box of P^7 is walked
+    assert visited == [128]
     assert coprime_calls == []
     assert csg.residue_order == 64 * 8
 
@@ -676,6 +677,70 @@ def test_huge_hplus_output_is_byte_identical_in_a_fresh_process():
     )
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout).hexdigest() == HUGE_HPLUS_SHA256
+
+
+# prime moduli of norm near the default cap; sha256 of stdout as computed at
+# a879c78, when each prime component was still closed over its box
+LARGE_PRIME_SHA256 = {
+    # two split primes over 99991
+    "invariants --d 2 --prime 5 --modulus-norm 99991": (
+        "d30863b196b003dff7aab89fef87f9b90a2bb6d97bed7c41e6f76ea2c17899a6"
+    ),
+    # the inert (293), residue degree 2
+    "invariants --d 2 --prime 3 --modulus-norm 85849": (
+        "b5ba04e449ee788e36cce593927efe5bad6cdf48e65314b70f07057f8b415c97"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(LARGE_PRIME_SHA256))
+def test_large_prime_moduli_output_is_byte_identical_in_a_fresh_process(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "torushecke", *argv.split()],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout).hexdigest() == LARGE_PRIME_SHA256[argv]
+
+
+def test_prime_components_walk_no_box(monkeypatch, F2):
+    # closing the boxes of these three moduli took 353,787 element_mul calls
+    muls = []
+    element_mul = field.element_mul
+
+    def no_walk(a):
+        raise AssertionError(f"the box of a prime of norm {a.norm} was walked")
+
+    def counting_mul(*args):
+        muls.append(1)
+        return element_mul(*args)
+
+    _patch_every_binding_site(monkeypatch, ideals.residue_transversal, no_walk)
+    _patch_every_binding_site(monkeypatch, element_mul, counting_mul)
+    moduli = moduli_of_norm(F2, 99991) + moduli_of_norm(F2, 85849)
+    assert len(moduli) == 3
+    for modulus in moduli:
+        csg = congruence.residue_sign_group(F2, modulus)
+        assert csg.residue_order == modulus.norm - 1
+    assert len(muls) < 2000
+
+
+def test_a_prime_of_norm_two_adds_no_coordinate(F2):
+    """(O/P)^x is trivial at N(P) = 2: the box closure of its one unit adds
+    no generator, and the component built from the residue field adds no
+    coordinate either; an element of P still has no vector."""
+    ((P, _, _),) = prime_ideals_over(F2, 2)
+    csg = congruence.residue_sign_group(F2, P)
+    assert csg.residue_order == 1 and csg.n_residue_gens == 0
+    assert csg.element_vector((1, 0)) == (0, 0)
+    assert csg.element_vector((-1, 0)) == (1, 1)
+    with pytest.raises(ValueError):
+        csg.element_vector((0, 1))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Finite fields and characters: factorization oracles, generators, goldens."""
 
+import operator
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from torushecke.errors import CharacterUndefined, GeneratorError
 from class_oracles import distinct_roots
 from galois_oracles import extension_field
 from torushecke.galois import (
+    CyclicGroup,
+    factor_int,
     factor_poly_mod_ell,
     find_generator,
     is_prime,
@@ -167,3 +170,69 @@ def test_fq_encoding_roundtrip():
     x = fld.from_int(5)
     y = fld.from_int(19)
     assert (x * y * x.inverse()).encode() == y.encode()
+
+
+
+def _powers(g, mul, one):
+    """{g^k: k} for k below the order of g, by repeated products."""
+    logs, y, k = {}, one, 0
+    while y not in logs:
+        logs[y] = k
+        y, k = mul(y, g), k + 1
+    return logs
+
+
+def test_discrete_log_against_brute_logs_in_prime_fields():
+    """Pohlig-Hellman logs in F_ell, as integers mod ell, for every ell < 200
+    against the table of powers of the generator, which must be the least
+    primitive root.  17 - 1 = 2^4 and 163 - 1 = 2*3^4 repeat a prime factor;
+    F_2^x has order 1 and the empty factorization."""
+    ells = [ell for ell in range(2, 200) if is_prime(ell)]
+    assert {2, 17, 163} <= set(ells)
+    for ell in ells:
+
+        def mul(a, b):
+            return a * b % ell
+
+        g = find_generator(extension_field(ell, 1)).encode()
+        assert g == next(a for a in range(1, ell) if len(_powers(a, mul, 1)) == ell - 1), ell
+        group = CyclicGroup(g, factor_int(ell - 1), mul, 1)
+        assert group.order == ell - 1
+        logs = _powers(g, mul, 1)
+        for x in range(1, ell):
+            assert group.log(x) == logs[x], (ell, x)
+        with pytest.raises(ArithmeticError):
+            group.log(0)
+
+
+def test_discrete_log_against_brute_logs_in_quadratic_extensions():
+    for ell in [ell for ell in range(2, 24) if is_prime(ell)]:
+        fld = extension_field(ell, 2)
+        g = find_generator(fld)
+        group = CyclicGroup(g, factor_int(fld.order - 1), operator.mul, fld.one())
+        logs = _powers(g, operator.mul, fld.one())
+        assert len(logs) == fld.order - 1, ell
+        for x, k in logs.items():
+            assert group.log(x) == k, (ell, x)
+        with pytest.raises(ArithmeticError):
+            group.log(fld.zero())
+
+
+def test_discrete_log_refuses_a_non_generator():
+    """g^r for a prime r | n has order n/r, and g has an order that does not
+    divide (ell - 1)/2: neither is taken as a generator of that order."""
+    for ell in (7, 11, 17, 31, 163, 433):
+
+        def mul(a, b):
+            return a * b % ell
+
+        g = find_generator(extension_field(ell, 1)).encode()
+        fac = factor_int(ell - 1)
+        for r in fac:
+            with pytest.raises(ArithmeticError):
+                CyclicGroup(pow(g, r, ell), fac, mul, 1)
+        with pytest.raises(ArithmeticError):
+            CyclicGroup(g, factor_int((ell - 1) // 2), mul, 1)
+    fld = extension_field(5, 2)
+    with pytest.raises(ArithmeticError):
+        CyclicGroup(find_generator(fld) ** 2, factor_int(24), operator.mul, fld.one())
