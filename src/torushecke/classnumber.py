@@ -3,8 +3,8 @@
 The class number of a native field is the number of rho-cycles of reduced
 ideals (forms.py).  WideClassGroup names each class by its cycle, once per
 field; representatives are degree-one primes with distinct labels, read off
-the field's prime table (the norm-ell entries of primes.prime_ideals_over),
-so each rational prime is factored once per field.
+the prime table (the degree-one entries of primes.prime_ideals_over), so
+each rational prime is factored once per field.
 """
 
 from math import gcd
@@ -14,6 +14,7 @@ from .field import FieldDescriptor, poly_discriminant, validate_descriptor
 from .forms import RhoCycles, wide_class_number
 from .galois import factor_int, is_prime
 from .ideals import IdealHNF, conjugate_ideal, ideal_product, unit_ideal
+from .primes import prime_ideals_over, prime_to_ideal
 from .principal import FOUND, NOT_FOUND, ideal_form, principal_generator
 from .units import fundamental_unit_real_quadratic
 
@@ -35,17 +36,11 @@ class WideClassGroup:
     arithmetic and no search.  A class number 1 field has the single class
     of (1), generated by 1, and never searches.  Nothing that raised is
     kept.
-
-    primes_over(ell) is the field's prime table, (ideal, norm, g) for each
-    prime over ell as primes.prime_ideals_over(F, ell) lists them (in the
-    CLI, FieldStages.prime_ideals_over, shared with the moduli listing and
-    the residue groups).
     """
 
-    def __init__(self, F: FieldDescriptor, primes_over):
+    def __init__(self, F: FieldDescriptor):
         self.field = F
         self.order = F.class_number
-        self._primes_over = primes_over
         self._primes = []  # (ell, degree-one prime, label), ascending ell
         self._ell = 1
         self._cycles = None
@@ -115,6 +110,7 @@ class WideClassGroup:
         by ascending ell, and over one ell by ascending root t of
         (ell, theta - t), read off the HNF column (h, 1) with h = -t mod ell.
         Ramified primes are included, inert ones (principal) are not."""
+        F = self.field
         i = 0
         while True:
             while i == len(self._primes):
@@ -122,7 +118,7 @@ class WideClassGroup:
                 if ell > CLASS_CLOSURE_CAP:
                     raise ArithmeticError("class representative sweep exhausted its cap")
                 if is_prime(ell):
-                    over = [v for v, norm, _ in self._primes_over(ell) if norm == ell]
+                    over = [prime_to_ideal(v, F) for v in prime_ideals_over(F, ell) if v.f == 1]
                     over.sort(key=lambda v: -v.hnf[0][1] % ell)
                     self._primes.extend([(ell, v, self.label(v)) for v in over])
                 self._ell = ell

@@ -16,7 +16,7 @@ import csv
 import io
 import json
 import sys
-from functools import cached_property, partial
+from functools import cached_property
 from typing import NamedTuple
 
 from .classnumber import WideClassGroup, real_quadratic_field
@@ -27,7 +27,7 @@ from .field import FieldDescriptor, load_descriptor, poly_discriminant
 from .galois import balanced_coeffs, factor_int, is_prime
 from .hecke import ScanRows, compute_tp, psi_report, scan_t1, spanning_set
 from .ideals import IdealHNF, ideal_product, unit_ideal
-from .primes import prime_ideals_over
+from .primes import prime_ideals_over, prime_to_ideal
 from .rayclass import narrow_class_number, ray_class_group
 from .units import e_units, unit_image_in_modulus
 
@@ -57,26 +57,28 @@ def _products_upto(F: FieldDescriptor, blocks, bound):
     return items
 
 
-def _prime_blocks(F: FieldDescriptor, ells, bound, primes_over):
+def _prime_blocks(F: FieldDescriptor, ells, bound):
     """(ideal, norm) for every prime over the ells with norm <= bound, read
-    off primes_over (FieldStages.prime_ideals_over), or off
-    prime_ideals_over when it is None."""
-    if primes_over is None:
-        primes_over = partial(prime_ideals_over, F)
-    return [(a, n) for ell in ells for a, n, _ in primes_over(ell) if n <= bound]
+    off the field's prime table."""
+    return [
+        (prime_to_ideal(v, F), v.norm)
+        for ell in ells
+        for v in prime_ideals_over(F, ell)
+        if v.norm <= bound
+    ]
 
 
-def moduli_upto(F: FieldDescriptor, bound, primes_over=None):
+def moduli_upto(F: FieldDescriptor, bound):
     """All integral ideals of norm <= bound, by prime factorization."""
     ells = [ell for ell in range(2, bound + 1) if is_prime(ell)]
-    return _products_upto(F, _prime_blocks(F, ells, bound, primes_over), bound)
+    return _products_upto(F, _prime_blocks(F, ells, bound), bound)
 
 
-def moduli_of_norm(F: FieldDescriptor, norm, primes_over=None):
+def moduli_of_norm(F: FieldDescriptor, norm):
     """All integral ideals of norm exactly norm, from the primes over its
     rational prime divisors only."""
     ells = sorted(factor_int(norm)) if norm > 0 else []
-    blocks = _prime_blocks(F, ells, norm, primes_over)
+    blocks = _prime_blocks(F, ells, norm)
     return [a for a, n in _products_upto(F, blocks, norm) if n == norm]
 
 
@@ -87,34 +89,28 @@ class FieldStages:
     """The stages of one field that do not depend on the modulus, each built
     on first use and then shared by every modulus of the field: the scan
     rows of each p (hecke.ScanRows: the degree-1 scan primes and their
-    characters on the global units), the prime ideals over each rational
-    prime ell (for the moduli listing and the residue groups) and the wide
-    class group (classnumber.WideClassGroup: class labels, representative
-    primes and the generators of their products).
+    characters on the global units) and the wide class group
+    (classnumber.WideClassGroup: class labels, representative primes and
+    the generators of their products).  The primes themselves come from
+    the process-wide prime table, primes.prime_ideals_over.
 
-    It lives for one CLI call.  A prime list whose construction raises is
-    not kept, and neither ScanRows nor WideClassGroup keeps an entry that
-    raised, so each configuration that asks again meets the same error.
+    It lives for one CLI call.  Neither ScanRows nor WideClassGroup keeps
+    an entry that raised, so each configuration that asks again meets the
+    same error.
     """
 
     def __init__(self, field: FieldDescriptor):
         self.field = field
         self._scan_rows = {}
-        self._primes_over = {}
 
     @cached_property
     def wide(self):
-        return WideClassGroup(self.field, self.prime_ideals_over)
+        return WideClassGroup(self.field)
 
     def scan_rows(self, p):
         if p not in self._scan_rows:
             self._scan_rows[p] = ScanRows(self.field, p)
         return self._scan_rows[p]
-
-    def prime_ideals_over(self, ell):
-        if ell not in self._primes_over:
-            self._primes_over[ell] = tuple(prime_ideals_over(self.field, ell))
-        return self._primes_over[ell]
 
 
 class ModulusStages:
@@ -140,9 +136,7 @@ class ModulusStages:
 
     @cached_property
     def image(self):
-        return unit_image_in_modulus(
-            self.field, self.modulus, self.cap, self.shared.prime_ideals_over
-        )
+        return unit_image_in_modulus(self.field, self.modulus, self.cap)
 
     @cached_property
     def group(self):
@@ -259,7 +253,7 @@ def run_verify(sweep: SweepConfig):
     for F in sweep.fields:
         shared = FieldStages(F)
         by_prime = [[] for _ in sweep.primes]
-        for modulus, norm in moduli_upto(F, sweep.modulus_norm_bound, shared.prime_ideals_over):
+        for modulus, norm in moduli_upto(F, sweep.modulus_norm_bound):
             stages = ModulusStages(shared, modulus, sweep.cap_residue)
             for p, rows in zip(sweep.primes, by_prime):
                 if norm % p == 0:
@@ -410,7 +404,7 @@ def _moduli_of_norm_arg(shared: FieldStages, norm, p):
     """The moduli of norm --modulus-norm, or an empty list, with the reason
     on stderr, when no ideal has that norm or p divides it (every modulus
     would be skipped and nothing checked)."""
-    moduli = moduli_of_norm(shared.field, norm, shared.prime_ideals_over)
+    moduli = moduli_of_norm(shared.field, norm)
     if not moduli:
         print(f"no integral ideal has norm {norm}", file=sys.stderr)
     elif norm % p == 0:

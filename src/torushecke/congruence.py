@@ -23,7 +23,7 @@ from .errors import CapExceeded
 from .field import FieldDescriptor, element_mul, real_signs
 from .galois import CyclicGroup, factor_int, find_generator, power
 from .ideals import IdealHNF, ideal_product, ideal_sum, rational_ideal, residue_transversal
-from .primes import PrimeIdeal, prime_ideals_over, residue_field, residue_image
+from .primes import PrimeIdeal, prime_ideals_over, prime_to_ideal, residue_field, residue_image
 
 RESIDUE_ENUMERATION_CAP = 10**5
 
@@ -144,15 +144,11 @@ class CongruenceSignGroup(NamedTuple):
         return acc
 
 
-def primary_components(F: FieldDescriptor, modulus: IdealHNF, primes_over=None):
-    """(P, g, q) for each prime P = (ell, g(theta)) containing the modulus,
-    q its P-primary part.
+def primary_components(F: FieldDescriptor, modulus: IdealHNF):
+    """(v, q) for each prime v = (ell, g(theta)) containing the modulus, q
+    its v-primary part; the primes come from the field's prime table.
 
-    primes_over(ell) lists the (ideal, norm, g) of the primes over ell, as
-    primes.prime_ideals_over(F, ell) does (the default); a caller with
-    several moduli of F hands in one table so each ell is factored once.
-
-    For ell^v exactly dividing N(m), m + (ell^v) is the product of the
+    For ell^e exactly dividing N(m), m + (ell^e) is the product of the
     components over ell; when several primes over ell contain m it splits
     further into q = m + P^k, the first k at which it stops changing (then
     P^k vanishes in the local ring O/q, by Nakayama).  The component norms
@@ -161,27 +157,27 @@ def primary_components(F: FieldDescriptor, modulus: IdealHNF, primes_over=None):
     nm = modulus.norm
     if nm == 1:
         return []
-    if primes_over is None:
-        primes_over = partial(prime_ideals_over, F)
     ells = factor_int(nm)
     out = []
-    for ell, v in sorted(ells.items()):
-        part = modulus if len(ells) == 1 else ideal_sum(modulus, rational_ideal(ell**v, F))
+    for ell, e in sorted(ells.items()):
+        part = modulus if len(ells) == 1 else ideal_sum(modulus, rational_ideal(ell**e, F))
         cols = part.basis_columns()
-        over = [(P, g) for P, _, g in primes_over(ell) if all(map(P.contains, cols))]
+        over = [
+            v for v in prime_ideals_over(F, ell) if all(map(prime_to_ideal(v, F).contains, cols))
+        ]
         if len(over) == 1:
-            out.append((*over[0], part))
+            out.append((over[0], part))
             continue
-        for P, g in over:
-            q = P
+        for v in over:
+            P = q = prime_to_ideal(v, F)
             while True:
                 nxt = ideal_sum(part, ideal_product(P, q, F))
                 if nxt == q:
                     break
                 q = nxt
-            out.append((P, g, q))
+            out.append((v, q))
     total = 1
-    for _, _, q in out:
+    for _, q in out:
         total *= q.norm
     if total != nm:
         raise ArithmeticError(f"primary components have norm {total}, not N(m) = {nm}")
@@ -205,12 +201,11 @@ def _local_units(F: FieldDescriptor, P: IdealHNF, q: IdealHNF):
     return closure
 
 
-def _prime_units(P: IdealHNF, g_poly):
+def _prime_units(v: PrimeIdeal, P: IdealHNF):
     """(O/P)^x from the residue field F_ell[t]/(g), theta -> t, where
-    P = (ell, g(theta)).  P contains no ell' other than ell, so the HNF of P
-    starts with ell; at degree one its diagonal is (ell, 1, ..., 1), the
-    residue of x is the integer P.reduce(x)[0] and products are mod ell."""
-    v = PrimeIdeal(ell=P.hnf[0][0], f=len(g_poly) - 1, g_poly=g_poly)
+    P = (ell, g(theta)) is the ideal of v.  At degree one the HNF diagonal
+    of P is (ell, 1, ..., 1), the residue of x is the integer
+    P.reduce(x)[0] and products are mod ell."""
     kappa = residue_field(v)
     if kappa.order != P.norm:
         raise ArithmeticError(f"residue field of order {kappa.order} at N(P) = {P.norm}")
@@ -233,23 +228,23 @@ def _prime_units(P: IdealHNF, g_poly):
     return PrimeComponent(primary=P, residue=residue, zero=zero, group=group)
 
 
-def residue_sign_group(
-    F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP, primes_over=None
-):
+def residue_sign_group(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP):
     """Build the ambient group for a modulus.
 
     cap bounds the norm of each primary component, and a larger one refuses
-    before any work; only the boxes of proper prime powers are enumerated.
-    primes_over is handed to primary_components."""
-    triples = primary_components(F, modulus, primes_over)
-    for _, _, q in triples:
+    before any work; only the boxes of proper prime powers are enumerated."""
+    pairs = primary_components(F, modulus)
+    for _, q in pairs:
         if q.norm > cap:
             raise CapExceeded(
                 f"primary component of norm {q.norm} exceeds enumeration cap {cap}"
             )
+    # q lies in the prime of v, so it is that prime when the norms agree
     components = tuple(
-        _prime_units(P, g) if q == P else BoxComponent(primary=q, closure=_local_units(F, P, q))
-        for P, g, q in triples
+        _prime_units(v, q)
+        if q.norm == v.norm
+        else BoxComponent(primary=q, closure=_local_units(F, prime_to_ideal(v, F), q))
+        for v, q in pairs
     )
     r1 = F.signature[0]
     width = sum(c.ngens for c in components) + r1

@@ -45,14 +45,8 @@ class FieldDescriptor(NamedTuple):
         r1, r2 = self.signature
         return r1 + r2 - 1
 
-    def zero(self):
-        return (0,) * self.degree
-
     def one(self):
         return (1,) + (0,) * (self.degree - 1)
-
-    def theta(self):
-        return (0, 1) + (0,) * (self.degree - 2)
 
 
 def element_neg(x):

@@ -8,7 +8,6 @@ products of representatives fall back into the transversal, so the group
 law needs no ideal arithmetic after construction and nothing per class.
 """
 
-from functools import partial
 from typing import NamedTuple
 
 from .abgroup import QuotientStructure, quotient_structure
@@ -18,7 +17,7 @@ from .errors import ValidationError
 from .field import FieldDescriptor
 from .galois import power
 from .ideals import IdealHNF, conjugate_ideal, ideal_is_coprime, ideal_product, unit_ideal
-from .primes import prime_ideals_over, prime_to_ideal
+from .primes import prime_to_ideal
 from .units import UnitImage, unit_image_in_modulus
 
 
@@ -131,15 +130,20 @@ def _principal_part(q_delta, q_norm, quotient):
 def ray_class_group(ui: UnitImage, wide: WideClassGroup = None):
     """Narrow ray class group of the modulus the unit image was built for.
 
-    wide is the field's WideClassGroup, shared by its moduli; a fresh one
-    on primes.prime_ideals_over when None.  What is left per modulus is the
-    choice of representatives coprime to it and their images in Q.
+    wide is the field's WideClassGroup, shared by its moduli, and a fresh
+    one when None; a WideClassGroup of another field is refused.  What is
+    left per modulus is the choice of representatives coprime to it and
+    their images in Q.
     """
     csg = ui.csg
     F = csg.field
     modulus = csg.modulus
     if wide is None:
-        wide = WideClassGroup(F, partial(prime_ideals_over, F))
+        wide = WideClassGroup(F)
+    elif wide.field != F:
+        raise ValueError(
+            f"wide class group of {wide.field.label} handed to a modulus of {F.label}"
+        )
     quotient = quotient_structure(csg.full_relation_columns, ui.map_columns, csg.width)
     wide_reps = wide_class_reps(F, coprime_to=modulus, wide=wide)
     h = len(wide_reps)

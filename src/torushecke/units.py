@@ -76,12 +76,10 @@ class UnitImage(NamedTuple):
         return sum(1 for d in self.image_invariant_factors if d % p == 0)
 
 
-def unit_image_in_modulus(
-    F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP, primes_over=None
-):
+def unit_image_in_modulus(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP):
     """O^x in the congruence-sign group of the modulus (residue_sign_group
-    with cap and primes_over) and the kernel lattice of that map."""
-    csg = residue_sign_group(F, modulus, cap, primes_over)
+    with cap) and the kernel lattice of that map."""
+    csg = residue_sign_group(F, modulus, cap)
     gens = unit_generators(F)
     cols = tuple(csg.element_vector(g) for g in gens)
     kern = kernel_of_map(cols, csg.full_relation_columns, len(gens), csg.width)

@@ -230,7 +230,8 @@ def _oracle_moduli(F2, F3):
         F = real_quadratic_field(d)
         out += [(F, a) for a, _ in moduli_upto(F, 10)]
     # P^k over the ramified 2 of Q(sqrt2)
-    (P, _, _), = prime_ideals_over(F2, 2)
+    (v,) = prime_ideals_over(F2, 2)
+    P = prime_to_ideal(v, F2)
     power = P
     for _ in range(8):
         out.append((F2, power))

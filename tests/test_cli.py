@@ -19,6 +19,7 @@ from torushecke import (
     congruence,
     eigen,
     field,
+    galois,
     hecke,
     ideals,
     principal,
@@ -29,7 +30,7 @@ from torushecke.abgroup import ExponentGroup
 from torushecke.classnumber import real_quadratic_field
 from torushecke.errors import RAN_OUT, BudgetShortfall, CapExceeded, Inconclusive, TorusHeckeError
 from torushecke.intlinalg import hnf_reduce
-from torushecke.primes import prime_ideals_over
+from torushecke.primes import prime_ideals_over, prime_to_ideal
 from torushecke.cli import (
     CSV_HEADER,
     FieldStages,
@@ -209,9 +210,10 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
         return checked(stages, p, budget)
 
     monkeypatch.setattr(cli, "verify_config", counting_config)
-    # and the characters of a scan prime and the primes over ell once per field
+    # and the characters of a scan prime once per field, and each (field, ell)
+    # factored once, for the moduli, the residue groups and the scan alike
     characters = []
-    ideals_over = []
+    factored = []
 
     def recording(log, fn, key):
         def wrapper(*args):
@@ -224,17 +226,19 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
     wide_stages = []
     for log, fn, key in (
         (characters, hecke.generator_characters, lambda v, p, F: (F.label, p, v)),
-        (ideals_over, prime_ideals_over, lambda F, ell: (F.label, ell)),
-        (wide_stages, classnumber.WideClassGroup, lambda F, primes_over: F.label),
+        (factored, galois.factor_poly_mod_ell, lambda poly, ell: (poly, ell)),
+        (wide_stages, classnumber.WideClassGroup, lambda F: F.label),
     ):
         _patch_every_binding_site(monkeypatch, fn, recording(log, fn, key))
     calls.update(dict.fromkeys(stages, 0))
     primes = (3, 5, 7)
     F229 = real_quadratic_field(229)
+    prime_ideals_over.cache_clear()
     code, agg = run_verify(
         SweepConfig(fields=(F2, F3, F229), modulus_norm_bound=21, primes=primes)
     )
-    listed = sorted(ideals_over)
+    labels = {F.min_poly: F.label for F in (F2, F3, F229)}
+    listed = {(labels[poly], ell) for poly, ell in factored}
     assert code == 0
     assert wide_stages == [F.label for F in (F2, F3, F229)]
     pairs = moduli_upto(F2, 21) + moduli_upto(F3, 21) + moduli_upto(F229, 21)
@@ -248,7 +252,9 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
         (F.label, p) for F in (F2, F3, F229) for p in primes
     }
     ells = (2, 3, 5, 7, 11, 13, 17, 19)
-    assert listed == sorted((F.label, ell) for F in (F2, F3, F229) for ell in ells)
+    assert len(listed) == len(factored)
+    assert listed >= {(F.label, ell) for F in (F2, F3, F229) for ell in ells}
+    assert listed >= {(label, v.ell) for label, _, v in characters}
     assert calls == {
         "e_units": len(per_config),
         "residue_sign_group": per_modulus,
@@ -258,6 +264,14 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
         "eigensystem_report": len(per_config),
         "unit_power_product": 0,
     }
+    # the criterion-4 sweep factors each of its 80 (field, ell) once; 87
+    # calls when the scan and the moduli each factored on their own
+    factored.clear()
+    prime_ideals_over.cache_clear()
+    fields = tuple(real_quadratic_field(d) for d in (2, 3, 5, 6, 7, 10, 11, 13))
+    code, agg = run_verify(SweepConfig(fields=fields, modulus_norm_bound=10, primes=primes))
+    assert code == 0 and agg["configurations"] == 172
+    assert len(set(factored)) == len(factored) == 80
 
     # a class number 1 field has the one class of (1), generated by 1: the
     # cubics' ray class groups search for no generator
@@ -271,8 +285,9 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
 
 
 def test_back_to_back_sweeps_print_identical_bytes(capsys):
-    # nothing of one call's fields outlives it: a sweep, a different sweep
-    # of the same field that falls short, and the first sweep again
+    # no stage of one call outlives it, and the process-wide prime table
+    # depends on the field alone: a sweep, a different sweep of the same
+    # field that falls short, and the first sweep again
     argv = ["verify", "--d", "2", "--d", "3", "--modulus-norm", "10"]
     assert main(argv) == 0
     first = capsys.readouterr().out
@@ -585,7 +600,7 @@ def test_run_verify_matches_the_p_major_loop_when_characters_raise(monkeypatch, 
     )
     assert code == 1
     errors = {(r["field"], r["p"], r["error"]) for r in agg["results"] if "error" in r}
-    assert errors == {("Q(sqrt2)", 5, "ValueError: no characters at (31, deg 1)")}
+    assert errors == {("Q(sqrt2)", 5, "ValueError: no characters at (31, g=(-8, 1))")}
     # every (modulus, 5) of Q(sqrt2) meets the error in its own row
     rows = [r for r in agg["results"] if "error" in r]
     assert len(rows) == sum(1 for _, n in moduli_upto(F2, 10) if n % 5)
@@ -659,6 +674,18 @@ def test_class_group_output_is_byte_identical(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == RHO_CYCLE_SHA256[argv]
 
 
+def _run_in_a_fresh_process(argv):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "torushecke", *argv],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+
+
 # h_plus 69120 on each of its 3 moduli; sha256 of stdout as computed at
 # a829a07, when the census and the pairing still looped over every class
 HUGE_HPLUS_ARGV = "invariants --d 2 --prime 13 --modulus-norm 1334025"
@@ -666,15 +693,7 @@ HUGE_HPLUS_SHA256 = "4e1db942d36fc322b9638ed5411e168e8b86950bf27886431eb22f92075
 
 
 def test_huge_hplus_output_is_byte_identical_in_a_fresh_process():
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "torushecke", *HUGE_HPLUS_ARGV.split()],
-        env=env,
-        capture_output=True,
-        timeout=120,
-    )
+    run = _run_in_a_fresh_process(HUGE_HPLUS_ARGV.split())
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout).hexdigest() == HUGE_HPLUS_SHA256
 
@@ -695,18 +714,34 @@ LARGE_PRIME_SHA256 = {
 
 @pytest.mark.parametrize("argv", list(LARGE_PRIME_SHA256))
 def test_large_prime_moduli_output_is_byte_identical_in_a_fresh_process(argv):
-    src = Path(cli.__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "torushecke", *argv.split()],
-        env=env,
-        capture_output=True,
-        timeout=120,
-    )
+    run = _run_in_a_fresh_process(argv.split())
     assert run.returncode == 0, run.stderr
     assert hashlib.sha256(run.stdout).hexdigest() == LARGE_PRIME_SHA256[argv]
 
+
+# the scan order: sha256 of stdout as computed at 11a45ad, before the scan
+# and the moduli read one prime table; {zeta7} is the Q(zeta7)+ descriptor
+SCAN_ORDER_SHA256 = {
+    # inert primes of residue degree 2 among the split ones
+    "scan-primes --d 2 --prime 5 --modulus-norm 2": (
+        "0a71c1d3323076cee4d737a0b2a7230488b0ee7e6fae42ca1640978dbd739b07"
+    ),
+    "scan-primes --descriptor {zeta7} --prime 7 --modulus-norm 13": (
+        "bb3aea91e2d3472af298f5ebe053eddf0b26e61359b724e8e59d7630b0fd9e9f"
+    ),
+    "spanning-set --d 229 --prime 3": (
+        "6fbb39fd56830d5537f443a41f51ff9ddb45960419507c493eff8ad8d42d037e"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(SCAN_ORDER_SHA256))
+def test_scan_order_is_byte_identical_in_a_fresh_process(argv, tmp_path, cubic_descriptors):
+    path = tmp_path / "zeta7.json"
+    path.write_text(json.dumps(cubic_descriptors[0]))
+    run = _run_in_a_fresh_process([a.format(zeta7=path) for a in argv.split()])
+    assert run.returncode == 0, run.stderr
+    assert hashlib.sha256(run.stdout).hexdigest() == SCAN_ORDER_SHA256[argv]
 
 def test_prime_components_walk_no_box(monkeypatch, F2):
     # closing the boxes of these three moduli took 353,787 element_mul calls
@@ -734,7 +769,8 @@ def test_a_prime_of_norm_two_adds_no_coordinate(F2):
     """(O/P)^x is trivial at N(P) = 2: the box closure of its one unit adds
     no generator, and the component built from the residue field adds no
     coordinate either; an element of P still has no vector."""
-    ((P, _, _),) = prime_ideals_over(F2, 2)
+    (v,) = prime_ideals_over(F2, 2)
+    P = prime_to_ideal(v, F2)
     csg = congruence.residue_sign_group(F2, P)
     assert csg.residue_order == 1 and csg.n_residue_gens == 0
     assert csg.element_vector((1, 0)) == (0, 0)

@@ -298,7 +298,7 @@ def test_scan_rows_keep_no_row_that_raised(monkeypatch, F2, one2):
     E = e_units(unit_image_in_modulus(F2, one2), 5)
     rows = ScanRows(F2, 5)
     for _ in range(2):
-        with pytest.raises(ValueError, match=r"no characters at \(31, deg 1\)"):
+        with pytest.raises(ValueError, match=r"no characters at \(31, g=\(-8, 1\)\)"):
             compute_tp(E, 5, 50, rows)
     failing.clear()
     assert _tp_fields(compute_tp(E, 5, 50, rows)) == _tp_fields(compute_tp(E, 5, 50))
@@ -417,6 +417,15 @@ def test_unit_functional_rejects_wrong_residue_order(F2, one2):
     assert (v.norm - 1) % 5 != 0
     with pytest.raises(ValueError):
         unit_functional(v, E, 5)
+
+
+def test_a_prime_label_names_its_balanced_factor(F2, one2):
+    # both primes over 41 once read "(41, deg 1)"
+    v, w = factor_prime(41, F2)
+    assert (v.label(), w.label()) == ("(41, g=(-17, 1))", "(41, g=(17, 1))")
+    E = e_units(unit_image_in_modulus(F2, one2), 3)
+    with pytest.raises(ValueError, match=r"^\(41, g=\(17, 1\)\) is not a degree-raising"):
+        unit_functional(w, E, 3)
 
 
 def test_functional_span_invariant_under_generator_choice(F2, F3, one2):

@@ -1,6 +1,5 @@
 """Ray class group law, codes, and representative sweeps."""
 
-from functools import partial
 from itertools import islice, takewhile
 from itertools import product as iter_product
 
@@ -13,7 +12,7 @@ from torushecke.cli import moduli_of_norm, moduli_upto
 from torushecke.errors import ValidationError
 from torushecke.galois import primes_stream
 from torushecke.ideals import ideal_product, rational_ideal, unit_ideal
-from torushecke.primes import _min_poly_disc, factor_prime, prime_ideals_over, prime_to_ideal
+from torushecke.primes import _min_poly_disc, factor_prime, prime_to_ideal
 from torushecke.rayclass import narrow_class_number, ray_class_group
 from torushecke.units import unit_image_in_modulus
 
@@ -243,7 +242,7 @@ def test_the_field_stage_lists_the_degree_one_primes_of_the_oracle():
     ell and root, are the oracle's (ell, theta - t) over the roots t."""
     for d in (79, 223, 229, 399, 1111):
         F = real_quadratic_field(d)
-        wide = WideClassGroup(F, partial(prime_ideals_over, F))
+        wide = WideClassGroup(F)
         listed = [
             (ell, v) for ell, v, _ in takewhile(lambda e: e[0] < 400, wide.degree_one_primes())
         ]
@@ -258,7 +257,7 @@ def test_the_field_stage_matches_the_pairwise_oracles():
     and the class index of every split prime below 100."""
     for d in (2, 3, 5, 6, 7, 10, 11, 13, 79, 223, 229, 399, 1111):
         F = real_quadratic_field(d)
-        wide = WideClassGroup(F, partial(prime_ideals_over, F))
+        wide = WideClassGroup(F)
         for modulus, _ in moduli_upto(F, 12):
             ui = unit_image_in_modulus(F, modulus)
             G = ray_class_group(ui, wide)
@@ -284,3 +283,11 @@ def test_the_field_stage_matches_the_pairwise_oracles():
                         a = prime_to_ideal(v, F)
                         k = G.class_of(a) // G.unit_quotient.order
                         assert k == wide_class_of(a, G.wide_reps, F), (d, ell)
+
+
+def test_ray_class_group_refuses_the_class_group_of_another_field(F2):
+    # read with Q(sqrt10)'s class group, Q(sqrt2) mod (3) came out of order 4
+    ui = unit_image_in_modulus(F2, rational_ideal(3, F2))
+    assert ray_class_group(ui, WideClassGroup(F2)).order == 2
+    with pytest.raises(ValueError, match=r"of Q\(sqrt10\) handed to a modulus of Q\(sqrt2\)"):
+        ray_class_group(ui, WideClassGroup(real_quadratic_field(10)))
