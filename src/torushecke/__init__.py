@@ -20,7 +20,6 @@ from .errors import (
     CapExceeded,
     CharacterUndefined,
     GeneratorError,
-    Inconclusive,
     RamifiedOrIndexPrime,
     TorsionObstruction,
     ValidationError,
@@ -60,7 +59,6 @@ __all__ = [
     "GeneratorError",
     "HeckeElement",
     "IdealHNF",
-    "Inconclusive",
     "ModulusStages",
     "PrimeIdeal",
     "PsiReport",

@@ -11,13 +11,7 @@ form on that lattice.
 
 from typing import NamedTuple
 
-from .intlinalg import (
-    IntMatrix,
-    hnf_columns,
-    kernel_basis,
-    smith_normal_form,
-    snf_diagonal,
-)
+from .intlinalg import IntMatrix, hnf_columns, smith_normal_form, snf_diagonal
 
 
 class PolycyclicClosure(NamedTuple):
@@ -137,14 +131,13 @@ class QuotientStructure(NamedTuple):
         return tuple(out)
 
 
-def quotient_structure(relation_columns, extra_columns, k):
-    """Structure of Z^k modulo the lattice spanned by all given columns."""
-    if k == 0:
-        return QuotientStructure(factors=(), u_rows=(), row_indices=())
-    cols = list(relation_columns) + list(extra_columns)
-    rows = [[col[i] for col in cols] for i in range(k)]
-    m = IntMatrix.from_rows(rows)
-    u, d, _ = smith_normal_form(m)
+def _smith_of_columns(columns, k):
+    """Smith form (U, D, V) of the k-row matrix whose columns are given."""
+    return smith_normal_form(IntMatrix.from_rows([[col[i] for col in columns] for i in range(k)]))
+
+
+def _quotient_from_smith(u, d, k):
+    """Z^k modulo the column span of a k-row M, read off U*M*V = D."""
     factors = []
     row_indices = []
     for i in range(k):
@@ -160,6 +153,14 @@ def quotient_structure(relation_columns, extra_columns, k):
     )
 
 
+def quotient_structure(relation_columns, extra_columns, k):
+    """Structure of Z^k modulo the lattice spanned by all given columns."""
+    if k == 0:
+        return QuotientStructure(factors=(), u_rows=(), row_indices=())
+    u, d, _ = _smith_of_columns(list(relation_columns) + list(extra_columns), k)
+    return _quotient_from_smith(u, d, k)
+
+
 class KernelLattice(NamedTuple):
     """Kernel of Z^s -> Z^k / relations, as a column-HNF sublattice of Z^s."""
 
@@ -169,26 +170,30 @@ class KernelLattice(NamedTuple):
 
 
 def kernel_of_map(map_columns, relation_columns, s, k):
-    """Kernel lattice of the map sending basis vector j to map_columns[j].
+    """(kernel lattice, cokernel) of the map sending basis vector j to
+    map_columns[j], from one Smith form U*[relations | map]*V = D.
 
     map_columns live in Z^k; the target group is Z^k modulo the relation
-    columns.  The integer kernel of the stacked matrix [map | relations]
-    projects onto exactly the exponent vectors that die in the group.
+    columns.  The null columns of V, projected onto the map coordinates,
+    span exactly the exponent vectors that die in the group.  U and D give
+    the cokernel Z^k / (relations + image) as a QuotientStructure, the one
+    quotient_structure(relation_columns, map_columns, k) reads.
     """
     if k == 0:
         # trivial target: everything is in the kernel
         hnf = tuple(tuple(1 if i == j else 0 for j in range(s)) for i in range(s))
-        return KernelLattice(hnf=hnf, index=1, image_invariant_factors=())
-    cols = list(map_columns) + list(relation_columns)
-    rows = [[col[i] for col in cols] for i in range(k)]
-    m = IntMatrix.from_rows(rows)
-    kern = kernel_basis(m)
-    projected = [tuple(vec[j] for j in range(s)) for vec in kern]
-    h = hnf_columns(projected, s)
-    hnf = tuple(tuple(r) for r in h)
+        kernel = KernelLattice(hnf=hnf, index=1, image_invariant_factors=())
+        return kernel, QuotientStructure(factors=(), u_rows=(), row_indices=())
+    n = len(relation_columns)
+    u, d, v = _smith_of_columns(list(relation_columns) + list(map_columns), k)
+    quotient = _quotient_from_smith(u, d, k)
+    # D has rank k (the quotient is finite), so V's columns k onward span
+    # the integer kernel of [relations | map]
+    projected = [tuple(v[n + i, c] for i in range(s)) for c in range(k, n + s)]
+    hnf = tuple(tuple(r) for r in hnf_columns(projected, s))
     index = 1
     for i in range(s):
         index *= hnf[i][i]
-    quot = IntMatrix.from_rows([list(r) for r in hnf])
-    inv = tuple(d for d in snf_diagonal(quot) if d > 1)
-    return KernelLattice(hnf=hnf, index=index, image_invariant_factors=inv)
+    inv = tuple(x for x in snf_diagonal(IntMatrix.from_rows([list(r) for r in hnf])) if x > 1)
+    kernel = KernelLattice(hnf=hnf, index=index, image_invariant_factors=inv)
+    return kernel, quotient

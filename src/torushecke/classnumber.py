@@ -9,13 +9,13 @@ each rational prime is factored once per field.
 
 from math import gcd
 
-from .errors import CapExceeded, Inconclusive, ValidationError
+from .errors import CapExceeded, ValidationError
 from .field import FieldDescriptor, poly_discriminant, validate_descriptor
 from .forms import RhoCycles, wide_class_number
 from .galois import factor_int, is_prime
 from .ideals import IdealHNF, conjugate_ideal, ideal_product, unit_ideal
 from .primes import prime_ideals_over, prime_to_ideal
-from .principal import FOUND, NOT_FOUND, ideal_form, principal_generator
+from .principal import ideal_form, principal_generator
 from .units import fundamental_unit_real_quadratic
 
 NATIVE_DISC_CAP = 10**6
@@ -81,10 +81,8 @@ class WideClassGroup:
         if a.norm == 1:
             return F.one()
         res = principal_generator(a, F, self.cycles)
-        if res.status == NOT_FOUND:
+        if not res.found:
             raise ArithmeticError("wide class index disagreed with principality test")
-        if res.status != FOUND:
-            raise Inconclusive("principal generator search was inconclusive")
         return res.generator
 
     def class_index(self, a: IdealHNF, reps):

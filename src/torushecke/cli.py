@@ -7,8 +7,7 @@ dict key order, and scan order are all pinned.
 
 Exit codes: 0 all checks pass, 1 a check failed, a computation rejected
 its input or a file could not be read or written, 2 a scan budget or
-enumeration cap was exhausted, or a search was inconclusive, before the
-answer was determined.
+enumeration cap was exhausted before the answer was determined.
 """
 
 import argparse
@@ -244,8 +243,8 @@ def run_verify(sweep: SweepConfig):
 
     A configuration that raises a package error, ArithmeticError or
     ValueError is recorded in its own row under "error" and the sweep goes
-    on: a budget or cap that ran out, or an inconclusive search, makes the
-    exit code 2, any other error (like a failed check) makes it 1.
+    on: a budget or cap that ran out makes the exit code 2, any other error
+    (like a failed check) makes it 1.
     """
     results = []
     ran_out = False

@@ -40,9 +40,5 @@ class BudgetShortfall(TorusHeckeError):
     """A prime scan exhausted its budget before reaching its target rank."""
 
 
-class Inconclusive(TorusHeckeError):
-    """A bounded search ended without a decision (general-degree mode)."""
-
-
 # A bounded search that ran out before the answer was determined: exit 2.
-RAN_OUT = (BudgetShortfall, CapExceeded, Inconclusive)
+RAN_OUT = (BudgetShortfall, CapExceeded)

@@ -2,8 +2,8 @@
 
 Matrices are lists of rows of Python ints.  Everything here is pure
 arbitrary-precision integer arithmetic: Smith normal form with unimodular
-transforms, column-style Hermite normal form for lattices, integer kernels,
-and a fraction-free determinant.
+transforms, column-style Hermite normal form for lattices and a
+fraction-free determinant.
 """
 
 from typing import NamedTuple
@@ -152,16 +152,6 @@ def snf_diagonal(m: IntMatrix):
         if d[i, i] != 0:
             out.append(d[i, i])
     return out
-
-
-def kernel_basis(m: IntMatrix):
-    """Basis of the integer kernel {x : M x = 0}, as a list of column vectors."""
-    u, d, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
-    basis = []
-    for j in range(rank, m.cols):
-        basis.append(tuple(v[i, j] for i in range(m.cols)))
-    return basis
 
 
 def hnf_columns(columns, n):

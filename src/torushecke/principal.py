@@ -1,25 +1,21 @@
-"""Principal generator search for ideals of Z[theta].
+"""Principal generators of ideals of Z[theta], real quadratic fields only.
 
-Degree 2 gets a complete decision procedure from the rho-cycles of
-forms.py: an invertible ideal is principal exactly when its reduced form
-lies on the cycle of (1), and the rho multipliers along the way multiply
-to a generator.  Higher degree falls back to bounded box enumeration and
-reports exhaustion honestly as inconclusive rather than as absence.
+The rho-cycles of forms.py decide principality completely: an invertible
+ideal is principal exactly when its reduced form lies on the cycle of (1),
+and the rho multipliers along the way multiply to a generator.  Other
+fields are refused; a class number 1 field never asks (classnumber).
 """
 
-from itertools import product
 from math import gcd
 from typing import NamedTuple
 
-from .field import FieldDescriptor, element_norm
+from .errors import ValidationError
+from .field import FieldDescriptor
 from .forms import RhoCycles, ideal_generator, power_basis
 from .ideals import IdealHNF, principal_ideal
 
 FOUND = "found"
 NOT_FOUND = "not_found"
-INCONCLUSIVE = "inconclusive"
-
-BOX_RADIUS = 12
 
 
 class PrincipalSearchResult(NamedTuple):
@@ -34,36 +30,14 @@ class PrincipalSearchResult(NamedTuple):
 def principal_generator(a: IdealHNF, F: FieldDescriptor, cycles: RhoCycles = None):
     """Find x with (x) = a, exactly verified through HNF equality.
 
-    Returns a tri-state result: found (with generator), not_found (only from
-    the complete quadratic mode), or inconclusive (general-mode exhaustion
-    of the box of radius BOX_RADIUS).  A real quadratic field reads the
-    cycle of (1) off cycles, its field's RhoCycles, or walks it afresh when
-    cycles is None.
+    Returns found (with generator) or not_found, which is a proof: a
+    non-invertible a is not principal, and otherwise forms.ideal_generator
+    decides on the cycle of (1), read off cycles, the field's RhoCycles, or
+    walked afresh when cycles is None.  A field that is not real quadratic
+    raises ValidationError.
     """
-    if F.degree == 2 and F.signature[0] == 2:
-        return _quadratic_search(a, F, cycles)
-    return _box_search(a, F, BOX_RADIUS)
-
-
-def ideal_form(a: IdealHNF, F: FieldDescriptor):
-    """(c, (A, b, C)) with a = c*(A, (b + sqrt D)/2), quadratic fields only.
-
-    The HNF columns (c*A, 0) and (h, c) give b = 2h/c - c1.  The form is
-    imprimitive exactly when a is not invertible.
-    """
-    c0, c1 = F.min_poly[0], F.min_poly[1]
-    D = c1 * c1 - 4 * c0
-    (cA, h), (_, c) = a.hnf
-    A, b = cA // c, 2 * (h // c) - c1
-    return c, (A, b, (b * b - D) // (4 * A))
-
-
-def _quadratic_search(a: IdealHNF, F: FieldDescriptor, cycles):
-    """Decide principality by the rho-cycle of (1); not_found is a proof.
-
-    A non-invertible a is not principal; otherwise forms.ideal_generator
-    decides.
-    """
+    if F.degree != 2 or F.signature[0] != 2:
+        raise ValidationError("principal generators are native to real quadratic fields only")
     c, form = ideal_form(a, F)
     if gcd(*form) != 1:
         return PrincipalSearchResult(NOT_FOUND)
@@ -77,12 +51,14 @@ def _quadratic_search(a: IdealHNF, F: FieldDescriptor, cycles):
     return PrincipalSearchResult(FOUND, gen)
 
 
-def _box_search(a: IdealHNF, F: FieldDescriptor, radius):
-    """Exhaustive coordinate box scan, last coordinate fastest; exhaustion
-    is only inconclusive."""
-    m = a.norm
-    for x in product(range(-radius, radius + 1), repeat=F.degree):
-        if any(x) and a.contains(x) and abs(element_norm(x, F)) == m:
-            if principal_ideal(x, F) == a:
-                return PrincipalSearchResult(FOUND, x)
-    return PrincipalSearchResult(INCONCLUSIVE)
+def ideal_form(a: IdealHNF, F: FieldDescriptor):
+    """(c, (A, b, C)) with a = c*(A, (b + sqrt D)/2), quadratic fields only.
+
+    The HNF columns (c*A, 0) and (h, c) give b = 2h/c - c1.  The form is
+    imprimitive exactly when a is not invertible.
+    """
+    c0, c1 = F.min_poly[0], F.min_poly[1]
+    D = c1 * c1 - 4 * c0
+    (cA, h), (_, c) = a.hnf
+    A, b = cA // c, 2 * (h // c) - c1
+    return c, (A, b, (b * b - D) // (4 * A))

@@ -131,9 +131,9 @@ def ray_class_group(ui: UnitImage, wide: WideClassGroup = None):
     """Narrow ray class group of the modulus the unit image was built for.
 
     wide is the field's WideClassGroup, shared by its moduli, and a fresh
-    one when None; a WideClassGroup of another field is refused.  What is
-    left per modulus is the choice of representatives coprime to it and
-    their images in Q.
+    one when None; a WideClassGroup of another field is refused.  Q is the
+    unit image's cokernel.  What is left per modulus is the choice of
+    representatives coprime to it and their images in Q.
     """
     csg = ui.csg
     F = csg.field
@@ -144,7 +144,7 @@ def ray_class_group(ui: UnitImage, wide: WideClassGroup = None):
         raise ValueError(
             f"wide class group of {wide.field.label} handed to a modulus of {F.label}"
         )
-    quotient = quotient_structure(csg.full_relation_columns, ui.map_columns, csg.width)
+    quotient = ui.quotient
     wide_reps = wide_class_reps(F, coprime_to=modulus, wide=wide)
     h = len(wide_reps)
     # shift[k1][k2] is the principal part of rep_k1 * rep_k2 over rep_k3,

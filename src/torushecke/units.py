@@ -7,9 +7,10 @@ The subgroup of totally positive units congruent to 1 modulo an ideal is
 computed as a kernel lattice: exponent vectors over (zeta, eps_1..eps_r) that
 die in the congruence-sign group.  Its Hermite basis gives deterministic free
 generators, the lattice index gives [O^x : E], and the Smith invariants of
-the quotient give every delta_p at once.  An EUnits carries the UnitImage
-it was cut from, so later stages read the index and delta_p off E without
-rebuilding the image.
+the quotient give every delta_p at once.  The Smith form that yields the
+kernel also yields the cokernel Q, which rayclass reads off the UnitImage.
+An EUnits carries the UnitImage it was cut from, so later stages read the
+index and delta_p off E without rebuilding the image.
 E is only its exponent vectors, checked by sign parity and residue powers;
 no generator is built as a number (unit_power_product is a test oracle).
 """
@@ -17,7 +18,7 @@ no generator is built as a number (unit_power_product is a test oracle).
 from math import isqrt
 from typing import NamedTuple
 
-from .abgroup import KernelLattice, kernel_of_map
+from .abgroup import KernelLattice, QuotientStructure, kernel_of_map
 from .congruence import RESIDUE_ENUMERATION_CAP, CongruenceSignGroup, residue_sign_group
 from .errors import TorsionObstruction
 from .field import FieldDescriptor, element_mul, element_pow, element_unit_inverse
@@ -58,11 +59,13 @@ def unit_power_product(exponents, F: FieldDescriptor):
 
 
 class UnitImage(NamedTuple):
-    """Image data of O^x inside the congruence-sign group of a modulus."""
+    """Image data of O^x inside the congruence-sign group of a modulus: the
+    kernel lattice of the map and its cokernel Q, from one reduction."""
 
     csg: CongruenceSignGroup
     map_columns: tuple
     kernel: KernelLattice
+    quotient: QuotientStructure
 
     @property
     def index(self):
@@ -78,12 +81,12 @@ class UnitImage(NamedTuple):
 
 def unit_image_in_modulus(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP):
     """O^x in the congruence-sign group of the modulus (residue_sign_group
-    with cap) and the kernel lattice of that map."""
+    with cap), with the kernel lattice and the cokernel of that map."""
     csg = residue_sign_group(F, modulus, cap)
     gens = unit_generators(F)
     cols = tuple(csg.element_vector(g) for g in gens)
-    kern = kernel_of_map(cols, csg.full_relation_columns, len(gens), csg.width)
-    return UnitImage(csg=csg, map_columns=cols, kernel=kern)
+    kern, quotient = kernel_of_map(cols, csg.full_relation_columns, len(gens), csg.width)
+    return UnitImage(csg=csg, map_columns=cols, kernel=kern, quotient=quotient)
 
 
 class EUnits(NamedTuple):

@@ -8,10 +8,10 @@ classnumber.WideClassGroup is checked.
 """
 
 from torushecke.classnumber import CLASS_CLOSURE_CAP
-from torushecke.errors import Inconclusive, ValidationError
+from torushecke.errors import ValidationError
 from torushecke.galois import factor_poly_mod_ell, is_prime
 from torushecke.ideals import conjugate_ideal, ideal_from_generators, ideal_product, unit_ideal
-from torushecke.principal import FOUND, NOT_FOUND, principal_generator
+from torushecke.principal import principal_generator
 
 
 def distinct_roots(coeffs, ell):
@@ -42,13 +42,7 @@ def ideals_wide_equivalent(a, b, F):
     """
     if a == b:
         return True
-    prod = ideal_product(a, conjugate_ideal(b, F), F)
-    res = principal_generator(prod, F)
-    if res.status == FOUND:
-        return True
-    if res.status == NOT_FOUND:
-        return False
-    raise ArithmeticError("principal test inconclusive in complete quadratic mode")
+    return principal_generator(ideal_product(a, conjugate_ideal(b, F), F), F).found
 
 
 def wide_class_reps(F, coprime_to=None):
@@ -97,10 +91,8 @@ def principal_part(a, k, wide_reps, csg, quotient, F):
     """
     rep = wide_reps[k]
     res = principal_generator(ideal_product(a, conjugate_ideal(rep, F), F), F)
-    if res.status == NOT_FOUND:
+    if not res.found:
         raise ArithmeticError("wide class index disagreed with principality test")
-    if res.status != FOUND:
-        raise Inconclusive("principal generator search was inconclusive")
     q_delta = quotient.project(csg.element_vector(res.generator))
     q_m = quotient.project(csg.element_vector((rep.norm,) + (0,) * (F.degree - 1)))
     return tuple((x - y) % f for x, y, f in zip(q_delta, q_m, quotient.factors))

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from torushecke import (
+    abgroup,
     classnumber,
     cli,
     congruence,
@@ -22,13 +23,13 @@ from torushecke import (
     galois,
     hecke,
     ideals,
-    principal,
+    intlinalg,
     rayclass,
     units,
 )
 from torushecke.abgroup import ExponentGroup
 from torushecke.classnumber import real_quadratic_field
-from torushecke.errors import RAN_OUT, BudgetShortfall, CapExceeded, Inconclusive, TorusHeckeError
+from torushecke.errors import RAN_OUT, BudgetShortfall, CapExceeded, TorusHeckeError
 from torushecke.intlinalg import hnf_reduce
 from torushecke.primes import prime_ideals_over, prime_to_ideal
 from torushecke.cli import (
@@ -274,14 +275,41 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
     assert len(set(factored)) == len(factored) == 80
 
     # a class number 1 field has the one class of (1), generated by 1: the
-    # cubics' ray class groups search for no generator
-    def no_box_search(*args):
-        raise AssertionError("a cubic sweep searched a box for a generator")
+    # cubics' ray class groups ask for no generator
+    def no_generator(*args):
+        raise AssertionError("a cubic sweep asked for a principal generator")
 
-    monkeypatch.setattr(principal, "_box_search", no_box_search)
+    monkeypatch.setattr(classnumber, "principal_generator", no_generator)
     cubics = tuple(field.load_descriptor(c) for c in cubic_descriptors)
     code, agg = run_verify(SweepConfig(fields=cubics, modulus_norm_bound=13, primes=primes))
     assert code == 0 and agg["configurations"] > 0
+
+
+def test_each_modulus_reduces_its_unit_map_once(monkeypatch):
+    # per modulus, one Smith form gives the unit kernel and Q, one the image
+    # invariants and one G, which has no relation to reduce when Q and the
+    # wide class group are both trivial (6 of the 72 moduli here)
+    calls = dict.fromkeys(("smith_normal_form", "quotient_structure", "ray_class_group"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn in (intlinalg.smith_normal_form, abgroup.quotient_structure, rayclass.ray_class_group):
+        _patch_every_binding_site(monkeypatch, fn, counting(fn.__name__, fn))
+    fields = tuple(real_quadratic_field(d) for d in (2, 3, 5, 6, 7, 10, 11, 13))
+    code, agg = run_verify(SweepConfig(fields=fields, modulus_norm_bound=10, primes=(3, 5, 7)))
+    moduli = sum(len(moduli_upto(F, 10)) for F in fields)
+    assert code == 0 and agg["configurations"] == 172 and moduli == 72
+    # the one quotient_structure call of a modulus is G's
+    assert calls == {
+        "smith_normal_form": 210,
+        "quotient_structure": moduli,
+        "ray_class_group": moduli,
+    }
 
 
 def test_back_to_back_sweeps_print_identical_bytes(capsys):
@@ -395,21 +423,21 @@ def test_pairing_dimensions_can_fail(monkeypatch, capsys):
     assert "check failed: pairing-dimensions" in capsys.readouterr().err
 
 
-def test_verify_inconclusive_configuration_exits_two(monkeypatch, capsys):
+def test_verify_configuration_that_ran_out_exits_two(monkeypatch, capsys):
     checked = cli.verify_config
 
-    def inconclusive_at_norm_two(stages, p, budget):
+    def cap_at_norm_two(stages, p, budget):
         if stages.modulus.norm == 2:
-            raise Inconclusive("principal generator search was inconclusive")
+            raise CapExceeded("primary component of norm 2 exceeds the cap")
         return checked(stages, p, budget)
 
-    monkeypatch.setattr(cli, "verify_config", inconclusive_at_norm_two)
+    monkeypatch.setattr(cli, "verify_config", cap_at_norm_two)
     assert main(["verify", "--d", "2", "--prime", "5", "--modulus-norm", "2"]) == 2
     agg = json.loads(capsys.readouterr().out)
     assert [r["modulus_norm"] for r in agg["results"]] == [1, 2]
     assert "error" not in agg["results"][0]
     assert agg["results"][1]["error"] == (
-        "Inconclusive: principal generator search was inconclusive"
+        "CapExceeded: primary component of norm 2 exceeds the cap"
     )
     assert agg["pass"] is False
 

@@ -2,12 +2,12 @@
 
 import random
 
+from torushecke.abgroup import kernel_of_map
 from torushecke.intlinalg import (
     IntMatrix,
     det,
     hnf_columns,
     hnf_reduce,
-    kernel_basis,
     smith_normal_form,
     snf_diagonal,
 )
@@ -92,18 +92,52 @@ def test_det_oracle_vs_permutation_expansion():
         assert det(m) == perm_det(m)
 
 
-def test_kernel_basis_is_kernel_and_complete():
+def _full_rank_relations(rng, k, bound=3):
+    while True:
+        m = _random_matrix(rng, k, k, bound)
+        if det(m):
+            return [tuple(m[i, j] for i in range(k)) for j in range(k)]
+
+
+def _brute_image(map_columns, lattice):
+    """The subgroup of Z^k / lattice the map columns generate, as canonical
+    representatives, closed by breadth-first search."""
+    zero = hnf_reduce(lattice, (0,) * len(lattice))
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        x = frontier.pop()
+        for col in map_columns:
+            y = hnf_reduce(lattice, tuple(a + b for a, b in zip(x, col)))
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+def test_kernel_of_map_is_kernel_and_complete():
     rng = random.Random(11)
+    relations_rng = random.Random(12)
     for _ in range(40):
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 4)
         m = _random_matrix(rng, rows, cols, bound=4)
-        basis = kernel_basis(m)
-        for vec in basis:
-            for i in range(rows):
-                assert sum(m[i, j] * vec[j] for j in range(cols)) == 0
-        rank = sum(1 for d in snf_diagonal(m) if d != 0)
-        assert len(basis) == cols - rank
+        map_columns = [tuple(m[i, j] for i in range(rows)) for j in range(cols)]
+        relations = _full_rank_relations(relations_rng, rows)
+        lattice = hnf_columns(relations, rows)
+        kernel, quotient = kernel_of_map(map_columns, relations, cols, rows)
+        # every kernel column dies in Z^k / relations
+        for j in range(cols):
+            x = [kernel.hnf[i][j] for i in range(cols)]
+            value = [sum(m[i, c] * x[c] for c in range(cols)) for i in range(rows)]
+            assert hnf_contains(lattice, value)
+        # and the kernel is all of it: [Z^s : kernel] is the order of the image
+        image = _brute_image(map_columns, lattice)
+        assert kernel.index == len(image)
+        order = 1
+        for i in range(rows):
+            order *= lattice[i][i]
+        assert quotient.order * len(image) == order
 
 
 def test_hnf_shape_membership_and_index():

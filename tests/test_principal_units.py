@@ -6,12 +6,13 @@ import pytest
 
 from class_oracles import degree_one_primes_over
 from torushecke.classnumber import real_quadratic_field
-from torushecke.errors import TorsionObstruction
+from torushecke.errors import TorsionObstruction, ValidationError
 from torushecke.field import (
     FieldDescriptor,
     element_mul,
     element_norm,
     is_totally_positive,
+    load_descriptor,
     validate_descriptor,
 )
 from torushecke.ideals import (
@@ -156,6 +157,13 @@ def test_principal_generator_not_found(F10):
     # but their squares times conjugates etc. can be; (3) itself is
     res = principal_generator(rational_ideal(3, F10), F10)
     assert res.status == FOUND
+
+
+def test_principal_generator_refuses_a_field_that_is_not_real_quadratic(cubic_descriptors):
+    # no complete test exists there, and a class number 1 field never asks
+    F = load_descriptor(cubic_descriptors[0])
+    with pytest.raises(ValidationError, match="real quadratic"):
+        principal_generator(rational_ideal(2, F), F)
 
 
 def _window_scan(a, F):

@@ -5,13 +5,15 @@ from itertools import product as iter_product
 
 import pytest
 
-from torushecke.abgroup import closure_from_stream, quotient_structure
+from torushecke.abgroup import KernelLattice, closure_from_stream, quotient_structure
 from class_oracles import degree_one_primes_over, principal_part, wide_class_of, wide_class_reps
 from torushecke.classnumber import WideClassGroup, real_quadratic_field
 from torushecke.cli import moduli_of_norm, moduli_upto
 from torushecke.errors import ValidationError
+from torushecke.field import load_descriptor
 from torushecke.galois import primes_stream
 from torushecke.ideals import ideal_product, rational_ideal, unit_ideal
+from torushecke.intlinalg import IntMatrix, hnf_columns, smith_normal_form, snf_diagonal
 from torushecke.primes import _min_poly_disc, factor_prime, prime_to_ideal
 from torushecke.rayclass import narrow_class_number, ray_class_group
 from torushecke.units import unit_image_in_modulus
@@ -204,6 +206,43 @@ def cayley_oracle(ui):
     closure = closure_from_stream(codes, code_mul, codes[0])
     snf = quotient_structure(closure.relation_columns, [], closure.ngens)
     return table, inverse, closure.order, snf.factors
+
+
+def two_reduction_oracle(ui):
+    """The unit kernel and Q of a unit image from two Smith forms: the
+    integer kernel of [map | relations], read off V and projected onto the
+    map coordinates, and Q from its own reduction of [relations | map]."""
+    csg = ui.csg
+    s, k = len(ui.map_columns), csg.width
+    cols = list(ui.map_columns) + list(csg.full_relation_columns)
+    _, d, v = smith_normal_form(IntMatrix.from_rows([[c[i] for c in cols] for i in range(k)]))
+    rank = sum(1 for i in range(min(d.rows, d.cols)) if d[i, i] != 0)
+    kernel = [tuple(v[i, j] for i in range(s)) for j in range(rank, len(cols))]
+    hnf = tuple(tuple(r) for r in hnf_columns(kernel, s))
+    index = 1
+    for i in range(s):
+        index *= hnf[i][i]
+    inv = tuple(x for x in snf_diagonal(IntMatrix.from_rows(hnf)) if x > 1)
+    quotient = quotient_structure(csg.full_relation_columns, ui.map_columns, k)
+    return KernelLattice(hnf=hnf, index=index, image_invariant_factors=inv), quotient
+
+
+def test_one_reduction_matches_the_two_reduction_oracle(F2, cubic_descriptors):
+    fields = [real_quadratic_field(d) for d in (2, 3, 5, 6, 7, 10, 11, 13)]
+    sweep = [(F, m) for F in fields for m, _ in moduli_upto(F, 10)]
+    # the 172 configurations of the criterion-4 sweep, at p = 3, 5, 7
+    assert sum(1 for _, m in sweep for p in (3, 5, 7) if m.norm % p) == 172
+    cubics = [load_descriptor(c) for c in cubic_descriptors]
+    pairs = sweep + [(F, m) for F in cubics for m, _ in moduli_upto(F, 13)]
+    large = [(F2, m) for n in (1152, 1334025) for m in moduli_of_norm(F2, n)]
+    # P2^7 (3); and (3)(5)(11) times P7^2, P7 P7' or P7'^2
+    assert len(large) == 4
+    pairs += large
+    for F, m in pairs:
+        ui = unit_image_in_modulus(F, m)
+        kernel, quotient = two_reduction_oracle(ui)
+        assert ui.kernel == kernel, (F.label, m.hnf)
+        assert ui.quotient == quotient, (F.label, m.hnf)
 
 
 def test_exact_sequence_law_matches_the_cayley_oracle():
