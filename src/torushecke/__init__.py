@@ -45,14 +45,13 @@ from .ideals import IdealHNF, ideal_from_generators, principal_ideal, rational_i
 from .primes import PrimeIdeal, factor_prime, residue_field, residue_image
 from .principal import principal_generator
 from .rayclass import RayClassGroup, narrow_class_number, ray_class_group
-from .units import EUnits, compute_rp, e_units, unit_generators, unit_image_in_modulus
+from .units import compute_rp, e_units, unit_generators, unit_image_in_modulus
 
 __all__ = [
     "BudgetShortfall",
     "CapExceeded",
     "CharacterUndefined",
     "CohomologyClass",
-    "EUnits",
     "EigenReport",
     "FieldDescriptor",
     "FieldStages",

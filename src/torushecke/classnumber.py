@@ -80,10 +80,10 @@ class WideClassGroup:
         F = self.field
         if a.norm == 1:
             return F.one()
-        res = principal_generator(a, F, self.cycles)
-        if not res.found:
+        gen = principal_generator(a, F, self.cycles)
+        if gen is None:
             raise ArithmeticError("wide class index disagreed with principality test")
-        return res.generator
+        return gen
 
     def class_index(self, a: IdealHNF, reps):
         """k with [a] = [reps[k]], reps being wide_class_reps of this field."""

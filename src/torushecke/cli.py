@@ -24,13 +24,11 @@ from .eigen import eigensystem_report
 from .errors import RAN_OUT, TorusHeckeError, ValidationError
 from .field import FieldDescriptor, load_descriptor, poly_discriminant
 from .galois import balanced_coeffs, factor_int, is_prime
-from .hecke import ScanRows, compute_tp, psi_report, scan_t1, spanning_set
+from .hecke import DEFAULT_BUDGET, ScanRows, compute_tp, psi_report, scan_t1, spanning_set
 from .ideals import IdealHNF, ideal_product, unit_ideal
 from .primes import prime_ideals_over, prime_to_ideal
 from .rayclass import narrow_class_number, ray_class_group
 from .units import e_units, unit_image_in_modulus
-
-DEFAULT_BUDGET = 50
 
 
 # ---------------------------------------------------------------- moduli
@@ -145,11 +143,11 @@ class ModulusStages:
 def assemble_report(stages: ModulusStages, p: int, budget: int = DEFAULT_BUDGET):
     """Full report of one configuration, each stage built once and handed on.
 
-    The unit image, then E, then the t_p scan (raising BudgetShortfall if it
-    falls short), then the ray class group G, the pairing report and the
-    eigensystem census.  The unit image and G come from stages, so a prime
-    that falls short never builds G; the scan reads the rows its field
-    shares for p.
+    The unit image with E (refused by e_units if E has p-torsion), then the
+    t_p scan (raising BudgetShortfall if it falls short), then the ray class
+    group G, the pairing report and the eigensystem census.  The unit image
+    and G come from stages, so a prime that falls short never builds G; the
+    scan reads the rows its field shares for p.
     """
     E = e_units(stages.image, p)
     scan = compute_tp(E, p, budget, stages.shared.scan_rows(p))
@@ -349,6 +347,9 @@ def render_reports(reports, fmt):
 
 
 def _field_from_args(args):
+    """The one field of a single-field verb: --d or --descriptor, not both."""
+    if args.descriptor and args.d is not None:
+        raise ValidationError("--d and --descriptor are exclusive; give one field")
     if args.descriptor:
         return load_descriptor(args.descriptor)
     if args.d is None:

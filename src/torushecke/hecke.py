@@ -21,7 +21,9 @@ from .galois import find_generator, pth_character, primes_stream
 from .ideals import IdealHNF, unit_ideal
 from .primes import PrimeIdeal, _min_poly_disc, factor_prime, residue_field, residue_image
 from .rayclass import RayClassGroup
-from .units import EUnits, compute_rp, unit_generators
+from .units import UnitImage, compute_rp, unit_generators
+
+DEFAULT_BUDGET = 50  # scan primes a scan reads before it falls short
 
 
 class CohomologyClass(NamedTuple):
@@ -149,7 +151,7 @@ def unit_functional(v: PrimeIdeal, eunits, p: int):
     kappa = residue_field(v)
     if (kappa.order - 1) % p:
         raise ValueError(f"{v.label()} is not a degree-raising prime for p = {p}")
-    g, row = generator_characters(v, p, eunits.image.csg.field)
+    g, row = generator_characters(v, p, eunits.csg.field)
     return _functional(v, g, row, eunits, p)
 
 
@@ -211,10 +213,10 @@ class ScanRows:
                 yield entry
 
 
-def scan_t1(E: EUnits, p: int, budget: int):
+def scan_t1(E: UnitImage, p: int, budget: int):
     """At most budget (prime, functional) pairs in canonical scan order."""
     count = 0
-    for v in t1_primes(E.image.csg.field, E.modulus, p):
+    for v in t1_primes(E.csg.field, E.modulus, p):
         if count >= budget:
             return
         yield v, unit_functional(v, E, p)
@@ -244,8 +246,15 @@ class TpScan(NamedTuple):
     target: int
     certificate: tuple
     visited: tuple
-    consumed: int
-    shortfall: bool
+
+    @property
+    def consumed(self):
+        return len(self.visited)
+
+    @property
+    def shortfall(self):
+        """The budget ran out with the rank still below target."""
+        return self.t_p < self.target
 
     def require_target(self):
         """Raise BudgetShortfall if the budget ran out below the target rank."""
@@ -255,7 +264,7 @@ class TpScan(NamedTuple):
             )
 
 
-def compute_tp(E: EUnits, p: int, budget: int = 50, rows: ScanRows = None):
+def compute_tp(E: UnitImage, p: int, budget: int = DEFAULT_BUDGET, rows: ScanRows = None):
     """Rank of the stacked degree-1 characters, from residue-degree-1 primes.
 
     The primes and their characters on the unit generators come from rows,
@@ -268,10 +277,9 @@ def compute_tp(E: EUnits, p: int, budget: int = 50, rows: ScanRows = None):
     rank must be r_p - delta_p (ArithmeticError otherwise), which ties the
     kernel lattice to the image invariants and makes the target a proved
     upper bound.  The scan stops there, so a zero target visits no prime.
-    shortfall means the budget ran out with the rank still below target.
     """
-    F = E.image.csg.field
-    target = compute_rp(F, p) - E.image.delta_p(p)
+    F = E.csg.field
+    target = compute_rp(F, p) - E.delta_p(p)
     first = 1 if F.torsion_order % p else 0  # drop zeta unless p | w
     if fp_rank([col[first:] for col in E.exponent_vectors], p) != target:
         raise ArithmeticError("rank of E mod p disagrees with r_p - delta_p")
@@ -291,8 +299,6 @@ def compute_tp(E: EUnits, p: int, budget: int = 50, rows: ScanRows = None):
         target=target,
         certificate=certificate,
         visited=visited,
-        consumed=len(visited),
-        shortfall=t_p < target,
     )
 
 
@@ -302,7 +308,12 @@ class SpanningScan(NamedTuple):
     primes: tuple
     rows: tuple
     target: int
-    shortfall: bool
+
+    @property
+    def shortfall(self):
+        """The budget ran out with fewer spanning rows than target: each row
+        enlarged the span."""
+        return len(self.rows) < self.target
 
 
 def spanning_set(F: FieldDescriptor, p: int, budget: int = 25):
@@ -319,12 +330,11 @@ def spanning_set(F: FieldDescriptor, p: int, budget: int = 25):
     if len(unit_generators(F)) - first != target:
         raise ArithmeticError("generator count disagrees with the rank target")
     rows = ((v, generator_characters(v, p, F)[1][first:]) for v in t1_primes(F, modulus, p))
-    rank, _, spanning = _greedy_span(rows, lambda vr: vr[1], p, target, target, budget)
+    _, _, spanning = _greedy_span(rows, lambda vr: vr[1], p, target, target, budget)
     return SpanningScan(
         primes=tuple(v for v, _ in spanning),
         rows=tuple(row for _, row in spanning),
         target=target,
-        shortfall=rank < target,
     )
 
 
@@ -347,7 +357,7 @@ class PsiReport(NamedTuple):
     scan: TpScan
 
 
-def psi_report(G: RayClassGroup, E: EUnits, scan: TpScan):
+def psi_report(G: RayClassGroup, E: UnitImage, scan: TpScan):
     """Measure the pairing H^1-block.
 
     The domain is one copy of the stacked-character span per class; the

@@ -7,48 +7,35 @@ fields are refused; a class number 1 field never asks (classnumber).
 """
 
 from math import gcd
-from typing import NamedTuple
 
 from .errors import ValidationError
 from .field import FieldDescriptor
 from .forms import RhoCycles, ideal_generator, power_basis
 from .ideals import IdealHNF, principal_ideal
 
-FOUND = "found"
-NOT_FOUND = "not_found"
-
-
-class PrincipalSearchResult(NamedTuple):
-    status: str
-    generator: tuple | None = None
-
-    @property
-    def found(self):
-        return self.status == FOUND
-
 
 def principal_generator(a: IdealHNF, F: FieldDescriptor, cycles: RhoCycles = None):
     """Find x with (x) = a, exactly verified through HNF equality.
 
-    Returns found (with generator) or not_found, which is a proof: a
-    non-invertible a is not principal, and otherwise forms.ideal_generator
-    decides on the cycle of (1), read off cycles, the field's RhoCycles, or
-    walked afresh when cycles is None.  A field that is not real quadratic
-    raises ValidationError.
+    Returns x, or None, which is a proof: a non-invertible a is not
+    principal, and otherwise forms.ideal_generator decides on the cycle of
+    (1), read off cycles, the field's RhoCycles, or walked afresh when
+    cycles is None.  A field that is not real quadratic raises
+    ValidationError.
     """
     if F.degree != 2 or F.signature[0] != 2:
         raise ValidationError("principal generators are native to real quadratic fields only")
     c, form = ideal_form(a, F)
     if gcd(*form) != 1:
-        return PrincipalSearchResult(NOT_FOUND)
+        return None
     A, b, C = form
     mu = ideal_generator(form, cycles or RhoCycles(b * b - 4 * A * C))
     if mu is None:
-        return PrincipalSearchResult(NOT_FOUND)
+        return None
     gen = tuple(c * t for t in power_basis(mu, F.min_poly))
     if principal_ideal(gen, F) != a:
         raise ArithmeticError(f"rho walk generator {gen} does not generate the ideal")
-    return PrincipalSearchResult(FOUND, gen)
+    return gen
 
 
 def ideal_form(a: IdealHNF, F: FieldDescriptor):

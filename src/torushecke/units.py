@@ -9,10 +9,10 @@ die in the congruence-sign group.  Its Hermite basis gives deterministic free
 generators, the lattice index gives [O^x : E], and the Smith invariants of
 the quotient give every delta_p at once.  The Smith form that yields the
 kernel also yields the cokernel Q, which rayclass reads off the UnitImage.
-An EUnits carries the UnitImage it was cut from, so later stages read the
-index and delta_p off E without rebuilding the image.
-E is only its exponent vectors, checked by sign parity and residue powers;
-no generator is built as a number (unit_power_product is a test oracle).
+E depends on the modulus only, so the UnitImage is E: its exponent vectors
+are checked once, by sign parity and residue powers, when the image is
+built, and every p reads the index and delta_p off the same record.  No
+generator is built as a number (unit_power_product is a test oracle).
 """
 
 from math import isqrt
@@ -59,13 +59,30 @@ def unit_power_product(exponents, F: FieldDescriptor):
 
 
 class UnitImage(NamedTuple):
-    """Image data of O^x inside the congruence-sign group of a modulus: the
-    kernel lattice of the map and its cokernel Q, from one reduction."""
+    """O^x inside the congruence-sign group of a modulus, and E(modulus), the
+    totally positive units congruent to 1 mod it.
+
+    kernel and the cokernel quotient come from one reduction of the map,
+    whose columns are map_columns.  exponent_vectors are columns over
+    (zeta, eps_1..eps_r) generating the free part of E, and its only
+    representation.  torsion_order is the order of the torsion subgroup of
+    E (trivial whenever the field has a real place).
+    """
 
     csg: CongruenceSignGroup
     map_columns: tuple
     kernel: KernelLattice
     quotient: QuotientStructure
+    exponent_vectors: tuple
+    torsion_order: int
+
+    @property
+    def modulus(self):
+        return self.csg.modulus
+
+    @property
+    def rank(self):
+        return len(self.exponent_vectors)
 
     @property
     def index(self):
@@ -81,69 +98,23 @@ class UnitImage(NamedTuple):
 
 def unit_image_in_modulus(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENUMERATION_CAP):
     """O^x in the congruence-sign group of the modulus (residue_sign_group
-    with cap), with the kernel lattice and the cokernel of that map."""
+    with cap), with the kernel lattice and the cokernel of that map, and E
+    with verified generators.
+
+    A generator's sign bits sum to even at every real place and its residue
+    powers multiply to 1 in O/N (ArithmeticError otherwise).
+    """
     csg = residue_sign_group(F, modulus, cap)
     gens = unit_generators(F)
     cols = tuple(csg.element_vector(g) for g in gens)
     kern, quotient = kernel_of_map(cols, csg.full_relation_columns, len(gens), csg.width)
-    return UnitImage(csg=csg, map_columns=cols, kernel=kern, quotient=quotient)
-
-
-class EUnits(NamedTuple):
-    """Totally positive units congruent to 1 mod the modulus.
-
-    exponent_vectors are columns over (zeta, eps_1..eps_r) generating the
-    free part, and the only representation of E.  torsion_order is the order
-    of the torsion subgroup inside (trivial whenever the field has a real
-    place).  image is the UnitImage the group was cut from.
-    """
-
-    image: UnitImage
-    exponent_vectors: tuple
-    torsion_order: int
-
-    @property
-    def modulus(self):
-        return self.image.csg.modulus
-
-    @property
-    def index(self):
-        return self.image.index
-
-    @property
-    def image_invariant_factors(self):
-        return self.image.image_invariant_factors
-
-    @property
-    def rank(self):
-        return len(self.exponent_vectors)
-
-
-def e_units(ui: UnitImage, p=None):
-    """Compute E(modulus) from the unit image, with verified generators.
-
-    A generator's sign bits sum to even at every real place and its residue
-    powers multiply to 1 in O/N.  When p is given and the subgroup has
-    torsion of order divisible by p the cohomology model downstream is
-    invalid and the computation refuses.
-    """
-    csg = ui.csg
-    F = csg.field
-    K = ui.kernel.hnf
-    w = F.torsion_order
+    K = kern.hnf
     r = F.unit_rank
     zeta_entry = K[0][0]
-    if w % zeta_entry:
+    if F.torsion_order % zeta_entry:
         raise ArithmeticError("kernel misses zeta^w = 1; lattice is wrong")
-    torsion_order = w // zeta_entry
-    if p is not None and torsion_order % p == 0:
-        raise TorsionObstruction(
-            f"E(modulus) contains p-torsion (order {torsion_order}, p={p}); "
-            "the free cohomology model does not apply"
-        )
-    gens = unit_generators(F)
-    sign_bits = [c[csg.n_residue_gens :] for c in ui.map_columns]
-    one = csg.modulus.reduce(F.one())
+    sign_bits = [c[csg.n_residue_gens :] for c in cols]
+    one = modulus.reduce(F.one())
     vectors = []
     for j in range(1, r + 1):
         col = tuple(K[i][j] for i in range(r + 1))
@@ -153,7 +124,28 @@ def e_units(ui: UnitImage, p=None):
         if csg.residue_power_product(gens, col) != one:
             raise ArithmeticError(f"generator {col} is not 1 mod the modulus")
         vectors.append(col)
-    return EUnits(image=ui, exponent_vectors=tuple(vectors), torsion_order=torsion_order)
+    return UnitImage(
+        csg=csg,
+        map_columns=cols,
+        kernel=kern,
+        quotient=quotient,
+        exponent_vectors=tuple(vectors),
+        torsion_order=F.torsion_order // zeta_entry,
+    )
+
+
+def e_units(ui: UnitImage, p=None):
+    """E(modulus) for the prime p: the unit image ui itself, once p is checked.
+
+    When p is given and E has torsion of order divisible by p the cohomology
+    model downstream is invalid and the computation refuses.
+    """
+    if p is not None and ui.torsion_order % p == 0:
+        raise TorsionObstruction(
+            f"E(modulus) contains p-torsion (order {ui.torsion_order}, p={p}); "
+            "the free cohomology model does not apply"
+        )
+    return ui
 
 
 def compute_rp(F: FieldDescriptor, p):

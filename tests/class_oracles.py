@@ -42,7 +42,7 @@ def ideals_wide_equivalent(a, b, F):
     """
     if a == b:
         return True
-    return principal_generator(ideal_product(a, conjugate_ideal(b, F), F), F).found
+    return principal_generator(ideal_product(a, conjugate_ideal(b, F), F), F) is not None
 
 
 def wide_class_reps(F, coprime_to=None):
@@ -90,9 +90,9 @@ def principal_part(a, k, wide_reps, csg, quotient, F):
     global unit, which Q quotients away.
     """
     rep = wide_reps[k]
-    res = principal_generator(ideal_product(a, conjugate_ideal(rep, F), F), F)
-    if not res.found:
+    gen = principal_generator(ideal_product(a, conjugate_ideal(rep, F), F), F)
+    if gen is None:
         raise ArithmeticError("wide class index disagreed with principality test")
-    q_delta = quotient.project(csg.element_vector(res.generator))
+    q_delta = quotient.project(csg.element_vector(gen))
     q_m = quotient.project(csg.element_vector((rep.norm,) + (0,) * (F.degree - 1)))
     return tuple((x - y) % f for x, y, f in zip(q_delta, q_m, quotient.factors))

@@ -182,9 +182,9 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
         "eigensystem_report": eigen.eigensystem_report,
         "unit_power_product": units.unit_power_product,
     }
-    calls = dict.fromkeys(stages, 0)
+    calls = dict.fromkeys(stages, 0) | {"residue_power_product": 0}
     # E is its exponent vectors: no explicit unit is ever built
-    expected = dict.fromkeys(stages, 1) | {"unit_power_product": 0}
+    expected = dict.fromkeys(calls, 1) | {"unit_power_product": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -195,10 +195,15 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
 
     for name, fn in stages.items():
         _patch_every_binding_site(monkeypatch, fn, counting(name, fn))
+    # E is verified when the unit image is built: one residue power product
+    # per generator of E (one, in a real quadratic field) per modulus
+    csg_type = congruence.CongruenceSignGroup
+    residue_power_product = counting("residue_power_product", csg_type.residue_power_product)
+    monkeypatch.setattr(csg_type, "residue_power_product", residue_power_product)
 
     run_invariants(ModulusStages(FieldStages(F2), seven2), 5)
     assert calls == expected
-    calls.update(dict.fromkeys(stages, 0))
+    calls.update(dict.fromkeys(calls, 0))
     verify_config(ModulusStages(FieldStages(F2), seven2), 5, 50)
     assert calls == expected
 
@@ -231,7 +236,7 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
         (wide_stages, classnumber.WideClassGroup, lambda F: F.label),
     ):
         _patch_every_binding_site(monkeypatch, fn, recording(log, fn, key))
-    calls.update(dict.fromkeys(stages, 0))
+    calls.update(dict.fromkeys(calls, 0))
     primes = (3, 5, 7)
     F229 = real_quadratic_field(229)
     prime_ideals_over.cache_clear()
@@ -264,15 +269,20 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
         "psi_report": len(per_config),
         "eigensystem_report": len(per_config),
         "unit_power_product": 0,
+        "residue_power_product": per_modulus,
     }
     # the criterion-4 sweep factors each of its 80 (field, ell) once; 87
-    # calls when the scan and the moduli each factored on their own
+    # calls when the scan and the moduli each factored on their own.  It
+    # checks E once for each of its 72 moduli, not for each of its 172
+    # configurations
     factored.clear()
     prime_ideals_over.cache_clear()
+    calls.update(dict.fromkeys(calls, 0))
     fields = tuple(real_quadratic_field(d) for d in (2, 3, 5, 6, 7, 10, 11, 13))
     code, agg = run_verify(SweepConfig(fields=fields, modulus_norm_bound=10, primes=primes))
     assert code == 0 and agg["configurations"] == 172
     assert len(set(factored)) == len(factored) == 80
+    assert (calls["e_units"], calls["residue_power_product"]) == (172, 72)
 
     # a class number 1 field has the one class of (1), generated by 1: the
     # cubics' ray class groups ask for no generator
@@ -988,6 +998,30 @@ def test_cli_validation_error_exit_code(capsys):
 def test_cli_requires_field_choice(capsys):
     assert main(["invariants", "--prime", "5"]) == 1
     assert "--d or --descriptor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field", "info"],
+        ["invariants", "--prime", "5", "--modulus-norm", "13", "--format", "csv"],
+        ["scan-primes", "--prime", "7", "--modulus-norm", "13"],
+        ["spanning-set", "--prime", "5"],
+    ],
+)
+def test_single_field_verbs_refuse_d_with_a_descriptor(tmp_path, capsys, cubic_descriptors, argv):
+    # a verb of one field reports on one: --d is not dropped for the descriptor
+    path = tmp_path / "zeta7.json"
+    path.write_text(json.dumps(cubic_descriptors[0]))
+    assert main(argv + ["--d", "2", "--descriptor", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "ValidationError: --d and --descriptor are exclusive; give one field\n"
+    )
+    # the descriptor alone is a valid call
+    assert main(argv + ["--descriptor", str(path)]) == 0
+    assert capsys.readouterr().out != ""
 
 
 def test_cli_verify_requires_a_field_like_every_verb(capsys):

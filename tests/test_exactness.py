@@ -165,3 +165,19 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.splitlines()
     assert out == [str(SRC / "__init__.py"), "[]"]
+
+
+def test_package_exports_resolve_sorted_and_complete():
+    # __all__ is the public surface: every name in it resolves, it is sorted
+    # without repeats, and every public name __init__ imports is in it
+    names = torushecke.__all__
+    assert [name for name in names if not hasattr(torushecke, name)] == []
+    assert list(names) == sorted(set(names))
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {name for name in imported if not name.startswith("_")} - set(names) == set()

@@ -384,7 +384,7 @@ def test_rank_identity_at_the_even_prime(cubic_descriptors, Fzeta5):
             if norm % 2 == 0 or (F is Fzeta5 and norm == 1):  # -1 in E((1))
                 continue
             E = e_units(unit_image_in_modulus(F, modulus), 2)
-            target = compute_rp(F, 2) - E.image.delta_p(2)
+            target = compute_rp(F, 2) - E.delta_p(2)
             assert fp_rank(E.exponent_vectors, 2) == target
             scan = compute_tp(E, 2)
             assert (scan.target, scan.t_p, scan.shortfall) == (target, target, False)
