@@ -1,17 +1,17 @@
 """The wide class group of real quadratic orders and native fields.
 
-The class number of a native field is the number of rho-cycles of reduced
-ideals (forms.py).  WideClassGroup names each class by its cycle, once per
-field; representatives are degree-one primes with distinct labels, read off
-the prime table (the degree-one entries of primes.prime_ideals_over), so
-each rational prime is factored once per field.
+The unit, the class number and the class labels of a native field come from
+one walk of its rho-cycles, forms.rho_cycles.  Representatives are
+degree-one primes with distinct labels, read off the prime table (the
+degree-one entries of primes.prime_ideals_over), so each rational prime is
+factored once per field.
 """
 
 from math import gcd
 
 from .errors import CapExceeded, ValidationError
 from .field import FieldDescriptor, poly_discriminant, validate_descriptor
-from .forms import RhoCycles, wide_class_number
+from .forms import rho_cycles
 from .galois import factor_int, is_prime
 from .ideals import IdealHNF, conjugate_ideal, ideal_product, unit_ideal
 from .primes import prime_ideals_over, prime_to_ideal
@@ -27,7 +27,7 @@ class WideClassGroup:
     every modulus of the field.
 
     A class is named by a label: the least reduced form of its rho-cycle
-    (forms.RhoCycles), or 0 for every ideal when the class number is 1.
+    (forms.rho_cycles), or 0 for every ideal when the class number is 1.
     The degree-one primes are listed in the order of wide_class_reps, with
     their labels, as far as a modulus has needed them.  The label of each
     ideal met, the products of representatives and the generator of
@@ -43,31 +43,23 @@ class WideClassGroup:
         self.order = F.class_number
         self._primes = []  # (ell, degree-one prime, label), ascending ell
         self._ell = 1
-        self._cycles = None
         self._labels = {}
         self._products = {}
         self._generators = {}
 
-    @property
-    def cycles(self):
-        """The field's RhoCycles; None unless the field is real quadratic."""
-        F = self.field
-        if self._cycles is None and F.degree == 2 and F.signature[0] == 2:
-            c0, c1 = F.min_poly[0], F.min_poly[1]
-            self._cycles = RhoCycles(c1 * c1 - 4 * c0)
-        return self._cycles
-
     def label(self, a: IdealHNF):
         """The label of the class of a; None when a is not invertible."""
+        F = self.field
         if self.order == 1:
             return 0
-        if self.cycles is None:
+        if F.degree != 2 or F.signature[0] != 2:
             raise ValidationError(
                 "nontrivial class groups are native to real quadratic fields only"
             )
         if a not in self._labels:
-            _, form = ideal_form(a, self.field)
-            self._labels[a] = self.cycles.label(form) if gcd(*form) == 1 else None
+            _, (A, b, C) = ideal_form(a, F)
+            primitive = gcd(A, b, C) == 1
+            self._labels[a] = rho_cycles(b * b - 4 * A * C).label((A, b, C)) if primitive else None
         return self._labels[a]
 
     def product(self, a: IdealHNF, b: IdealHNF):
@@ -80,7 +72,7 @@ class WideClassGroup:
         F = self.field
         if a.norm == 1:
             return F.one()
-        gen = principal_generator(a, F, self.cycles)
+        gen = principal_generator(a, F)
         if gen is None:
             raise ArithmeticError("wide class index disagreed with principality test")
         return gen
@@ -107,14 +99,15 @@ class WideClassGroup:
         """The degree-one primes with their labels, listed as far as asked:
         by ascending ell, and over one ell by ascending root t of
         (ell, theta - t), read off the HNF column (h, 1) with h = -t mod ell.
-        Ramified primes are included, inert ones (principal) are not."""
+        Ramified primes are included, inert ones (principal) are not.  Past
+        CLASS_CLOSURE_CAP the list raises CapExceeded."""
         F = self.field
         i = 0
         while True:
             while i == len(self._primes):
                 ell = self._ell + 1
                 if ell > CLASS_CLOSURE_CAP:
-                    raise ArithmeticError("class representative sweep exhausted its cap")
+                    raise CapExceeded("class representative sweep exhausted its cap")
                 if is_prime(ell):
                     over = [prime_to_ideal(v, F) for v in prime_ideals_over(F, ell) if v.f == 1]
                     over.sort(key=lambda v: -v.hnf[0][1] % ell)
@@ -129,8 +122,8 @@ def wide_class_reps(F: FieldDescriptor, coprime_to: IdealHNF, wide: WideClassGro
 
     Reps are the unit ideal plus, in the order of wide.degree_one_primes,
     the first degree-1 prime of each new class, all coprime to the given
-    ideal; the class number says when to stop, and primes above
-    CLASS_CLOSURE_CAP are never tried.  Classes are told apart by the
+    ideal; the class number says when to stop, and a sweep that passes
+    CLASS_CLOSURE_CAP raises CapExceeded.  Classes are told apart by the
     labels of wide, the field's WideClassGroup; a prime over the conductor
     of a non-maximal order is not invertible, lies in no class and is
     skipped.  Fields other than real quadratic ones must have class number
@@ -150,7 +143,7 @@ def wide_class_reps(F: FieldDescriptor, coprime_to: IdealHNF, wide: WideClassGro
 
 
 def real_quadratic_field(d):
-    """Native descriptor for Q(sqrt d): unit and class number from the rho-cycles."""
+    """Native descriptor for Q(sqrt d): unit and class number from forms.rho_cycles."""
     if d <= 1 or max(factor_int(d).values()) > 1:
         raise ValidationError(f"d = {d} must be a squarefree integer > 1")
     min_poly = (-(d - 1) // 4, -1, 1) if d % 4 == 1 else (-d, 0, 1)
@@ -164,7 +157,7 @@ def real_quadratic_field(d):
         torsion_order=2,
         torsion_generator=(-1, 0),
         fundamental_units=(fundamental_unit_real_quadratic(d),),
-        class_number=wide_class_number(D),
+        class_number=rho_cycles(D).class_number,
         provenance="native",
     )
     validate_descriptor(F)

@@ -400,11 +400,11 @@ def cmd_field_info(args):
     return 0
 
 
-def _moduli_of_norm_arg(shared: FieldStages, norm, p):
+def _moduli_of_norm_arg(F: FieldDescriptor, norm, p):
     """The moduli of norm --modulus-norm, or an empty list, with the reason
     on stderr, when no ideal has that norm or p divides it (every modulus
     would be skipped and nothing checked)."""
-    moduli = moduli_of_norm(shared.field, norm)
+    moduli = moduli_of_norm(F, norm)
     if not moduli:
         print(f"no integral ideal has norm {norm}", file=sys.stderr)
     elif norm % p == 0:
@@ -416,7 +416,7 @@ def _moduli_of_norm_arg(shared: FieldStages, norm, p):
 def cmd_invariants(args):
     _check_prime(args.prime)
     shared = FieldStages(_field_from_args(args))
-    moduli = _moduli_of_norm_arg(shared, args.modulus_norm, args.prime)
+    moduli = _moduli_of_norm_arg(shared.field, args.modulus_norm, args.prime)
     if not moduli:
         return 1
     reports = []
@@ -462,14 +462,14 @@ def cmd_verify(args):
 
 def cmd_scan_primes(args):
     _check_prime(args.prime)
-    shared = FieldStages(_field_from_args(args))
-    moduli = _moduli_of_norm_arg(shared, args.modulus_norm, args.prime)
+    F = _field_from_args(args)
+    moduli = _moduli_of_norm_arg(F, args.modulus_norm, args.prime)
     if not moduli:
         return 1
     lines = []
     for modulus in moduli:
         lines.append(f"# modulus norm {modulus.norm} hnf {modulus.hnf}")
-        E = e_units(ModulusStages(shared, modulus, args.cap_residue).image, args.prime)
+        E = e_units(unit_image_in_modulus(F, modulus, args.cap_residue), args.prime)
         for v, phi in scan_t1(E, args.prime, args.budget):
             bal = balanced_coeffs(v.g_poly, v.ell)
             lines.append(

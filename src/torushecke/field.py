@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from . import sturm
 from .errors import ValidationError
-from .forms import fundamental_unit, power_basis, wide_class_number
+from .forms import power_basis, rho_cycles
 from .galois import factor_int, is_prime, poly_is_irreducible, poly_trim, power
 from .intlinalg import IntMatrix, det
 
@@ -196,7 +196,9 @@ def validate_descriptor(F: FieldDescriptor):
     every prime (plenty exist) are rejected: this validator trades a class
     of valid inputs for an exact, cheap certificate.  A real quadratic
     descriptor must carry the fundamental unit (up to sign and inverse) and
-    the true class number; in higher degree only the unit norms are checked.
+    the true class number; in other signatures only the unit norms are
+    checked, and the class number must be 1, as the class group machinery
+    (classnumber.WideClassGroup) is native to real quadratic fields only.
     """
     f = poly_trim(F.min_poly)
     n = len(f) - 1
@@ -246,20 +248,23 @@ def validate_descriptor(F: FieldDescriptor):
         raise ValidationError("class number must be positive")
     if (r1, r2) == (2, 0):
         _certify_real_quadratic(F)
+    elif F.class_number > 1:
+        raise ValidationError("class numbers above 1 are native to real quadratic fields only")
     return {"irreducibility_certificate_prime": cert, "real_roots": nreal}
 
 
 def _certify_real_quadratic(F: FieldDescriptor):
     """The unit must be +-eps^+-1 and the class number the number of
-    rho-cycles of primitive reduced forms, both for D = disc(min_poly)."""
+    rho-cycles of primitive reduced forms, both read off forms.rho_cycles
+    of D = disc(min_poly)."""
     c0, c1 = F.min_poly[0], F.min_poly[1]
-    D = c1 * c1 - 4 * c0
-    eps = power_basis(fundamental_unit(D), F.min_poly)
+    cycles = rho_cycles(c1 * c1 - 4 * c0)
+    eps = power_basis(cycles.unit, F.min_poly)
     u = F.fundamental_units[0]
     signs = (F.one(), element_neg(F.one()))
     if u not in (eps, element_neg(eps)) and element_mul(u, eps, F) not in signs:
         raise ValidationError(f"unit {u} is not +-eps^+-1 for the fundamental unit eps = {eps}")
-    h = wide_class_number(D)
+    h = cycles.class_number
     if F.class_number != h:
         raise ValidationError(f"class number {F.class_number} disagrees with the {h} rho-cycles")
 

@@ -9,12 +9,14 @@ rho reduces every form, and it permutes the reduced ones; the reduced ideals
 of one wide class form exactly one cycle (Shanks, "The infrastructure of a
 real quadratic field", 1972; Buchmann-Vollmer, Binary Quadratic Forms, ch.
 6).  So one walk of the cycle of (1) decides principality and gives the
-fundamental unit, and counting cycles gives the class number.
+fundamental unit, and counting cycles gives the class number.  RhoCycles
+holds all three, one per discriminant (rho_cycles), each walked once.
 
 Elements of the order are pairs (x, y) standing for (x + y*sqrt D)/2.
 Everything here is integer arithmetic; isqrt stands in for sqrt D.
 """
 
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 from .errors import ValidationError
@@ -128,13 +130,15 @@ def _reduce(form, D):
 
 
 class RhoCycles:
-    """The rho-cycles of the reduced ideals of discriminant D, for one field.
+    """The rho-cycles of the reduced ideals of discriminant D.
 
-    The cycle of (1) is walked once, with the multiplier mu of each of its
-    reduced ideals, (a, (b + sqrt D)/2) = mu*O.  Any other cycle is walked
-    the first time label() meets it, and named by its least reduced form:
-    the reduced ideals of one wide class form exactly one cycle, so the
-    label names the class.
+    Built with the cycle of (1): the multiplier mu of each of its reduced
+    ideals, (a, (b + sqrt D)/2) = mu*O, and unit, the fundamental unit
+    eps = (x + y*sqrt D)/2 > 1.  The multipliers (b - sqrt D)/(2a), each in
+    (-1, 0), multiply once around to +-eps^-1, so their conjugates, each
+    > 1, multiply to eps.  The first label() or class_number walks every
+    other cycle of primitive reduced ideals and names it by its least
+    reduced form: the reduced ideals of one wide class form one cycle.
     """
 
     def __init__(self, D):
@@ -142,15 +146,33 @@ class RhoCycles:
         self.principal = {}
         for form, mu in _principal_cycle(D):
             self.principal.setdefault(form, mu)
-        self._labels = dict.fromkeys(self.principal, min(self.principal))
+        self.unit = mu[0], -mu[1]
+
+    @cached_property
+    def labels(self):
+        """The label of every primitive reduced ideal form (a > 0)."""
+        labels = dict.fromkeys(self.principal, min(self.principal))
+        for a, b, c in reduced_forms(self.D):
+            form = (abs(a), b, c if a > 0 else -c)
+            if form not in labels and gcd(*form) == 1:
+                cycle = list(_rho_cycle(form, self.D))
+                labels.update(dict.fromkeys(cycle, min(cycle)))
+        return labels
+
+    @cached_property
+    def class_number(self):
+        """The wide class number of the order: the number of cycles."""
+        return len(set(self.labels.values()))
 
     def label(self, form):
         """The label of the class of (A, (b + sqrt D)/2), (A, b, C) primitive, A > 0."""
-        _, form = _reduce(form, self.D)
-        if form not in self._labels:
-            cycle = list(_rho_cycle(form, self.D))
-            self._labels.update(dict.fromkeys(cycle, min(cycle)))
-        return self._labels[form]
+        return self.labels[_reduce(form, self.D)[1]]
+
+
+@lru_cache(maxsize=None)
+def rho_cycles(D):
+    """The RhoCycles of discriminant D, one for the whole process."""
+    return RhoCycles(D)
 
 
 def ideal_generator(form, cycles: RhoCycles):
@@ -170,30 +192,6 @@ def ideal_generator(form, cycles: RhoCycles):
     for _, b, c in reversed(steps):
         mu = _times(mu, b, 1, c, D)
     return mu
-
-
-def fundamental_unit(D):
-    """(x, y): the fundamental unit eps = (x + y*sqrt D)/2 > 1 of the order.
-
-    Once around the cycle of (1) is one period, so the product of the
-    multipliers is a unit +-eps^-1; each multiplier (b - sqrt D)/(2a) of a
-    reduced form lies in (-1, 0).  Its conjugate, a product of the factors
-    (b + sqrt D)/(2a) > 1, is eps itself.
-    """
-    *_, (_, (x, y)) = _principal_cycle(D)
-    return x, -y
-
-
-def wide_class_number(D):
-    """The wide class number of the order: rho-cycles of primitive reduced ideals."""
-    unseen = {
-        (abs(a), b, c if a > 0 else -c) for a, b, c in reduced_forms(D) if gcd(a, b, c) == 1
-    }
-    h = 0
-    while unseen:
-        h += 1
-        unseen.difference_update(_rho_cycle(min(unseen), D))
-    return h
 
 
 def power_basis(z, min_poly):

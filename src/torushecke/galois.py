@@ -59,11 +59,23 @@ def power(x, e, mul, acc):
     return acc
 
 
+def order_fault(g, n, primes, mul, one):
+    """None when g has order n under mul, primes being the prime divisors of
+    n; else why not.  g^n = one is read off as (g^(n/r))^r for the first r."""
+    parts = [(r, power(g, n // r, mul, one)) for r in primes]
+    r, h = parts[0] if parts else (1, g)
+    if power(h, r, mul, one) != one:
+        return f"order does not divide {n}"
+    for r, h in parts:
+        if h == one:
+            return f"order divides {n}/{r}"
+
+
 class CyclicGroup:
     """The cyclic group of order n = prod r^e over factors (prime ->
     exponent) on the generator g under mul, with discrete logs.
 
-    The order of g is proved here: g^n = one and g^(n/r) != one for each r.
+    The order of g is proved here, by order_fault.
     log is Pohlig-Hellman over the prime powers r^e of n: the log mod r^e
     of x is the k with h^k = x^(n/r^e) for h = g^(n/r^e) of order r^e,
     found by baby-step giant-step on a table built here.  The residues are
@@ -75,11 +87,9 @@ class CyclicGroup:
         n = 1
         for r, e in factors.items():
             n *= r**e
-        if power(g, n, mul, one) != one:
-            raise ArithmeticError(f"generator order does not divide {n}")
-        for r in factors:
-            if power(g, n // r, mul, one) == one:
-                raise ArithmeticError(f"generator order divides {n}/{r}")
+        fault = order_fault(g, n, factors, mul, one)
+        if fault:
+            raise ArithmeticError(f"generator {fault}")
         self.generator, self.order, self.mul, self.one = g, n, mul, one
         self._parts = []
         for r, e in sorted(factors.items()):
@@ -423,11 +433,9 @@ def find_generator(field: FqField) -> FqElement:
         def is_generator(enc):
             return all(pow(enc, (q - 1) // r, q) != 1 for r in fac)
     else:
-        one = field.one()
-
         def is_generator(enc):
             x = field.from_int(enc)
-            return all(x ** ((q - 1) // r) != one for r in fac)
+            return order_fault(x, q - 1, fac, FqElement.__mul__, field.one()) is None
 
     for enc in range(field.ell if field.f > 1 else 2, q):
         if is_generator(enc):
@@ -435,18 +443,13 @@ def find_generator(field: FqField) -> FqElement:
     raise GeneratorError("multiplicative group has no generator?")
 
 
-def element_order_divides(x: FqElement, e: int) -> bool:
-    return (x ** e - x.field.one()).is_zero()
-
-
 def verify_generator(g: FqElement):
     q = g.field.order
     if q > GENERATOR_FIELD_CAP:
         raise CapExceeded(f"field order {q} exceeds generator search cap")
-    fac = factor_int(q - 1)
-    for r in fac:
-        if element_order_divides(g, (q - 1) // r):
-            raise GeneratorError(f"element {g.coords} has order dividing (q-1)/{r}")
+    fault = order_fault(g, q - 1, factor_int(q - 1), FqElement.__mul__, g.field.one())
+    if fault:
+        raise GeneratorError(f"element {g.coords}: {fault}")
 
 
 def pth_character(x: FqElement, p: int, g: FqElement) -> int:

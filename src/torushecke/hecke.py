@@ -134,25 +134,23 @@ def generator_characters(v: PrimeIdeal, p: int, F: FieldDescriptor):
     return g, (chi,) + tuple(pth_character(residue_image(u, v), p, g) for u in eps)
 
 
-def _functional(v: PrimeIdeal, g, row, eunits, p: int):
+def _functional(v: PrimeIdeal, g, row, E, p: int):
     """The character of v with generator g on E's generators.
 
     A character is a homomorphism, so its value on a generator is its
     exponent vector dotted with row, the characters of the unit generators.
     """
-    values = tuple(
-        sum(e * x for e, x in zip(col, row)) % p for col in eunits.exponent_vectors
-    )
+    values = tuple(sum(e * x for e, x in zip(col, row)) % p for col in E.exponent_vectors)
     return Functional(prime=v, values=values, generator_encoding=g.encode())
 
 
-def unit_functional(v: PrimeIdeal, eunits, p: int):
+def unit_functional(v: PrimeIdeal, E, p: int):
     """Mod-p character of kappa_v^x evaluated on the kernel generators."""
     kappa = residue_field(v)
     if (kappa.order - 1) % p:
         raise ValueError(f"{v.label()} is not a degree-raising prime for p = {p}")
-    g, row = generator_characters(v, p, eunits.csg.field)
-    return _functional(v, g, row, eunits, p)
+    g, row = generator_characters(v, p, E.csg.field)
+    return _functional(v, g, row, E, p)
 
 
 def t1_primes(F: FieldDescriptor, modulus: IdealHNF, p: int, residue_degree=None):

@@ -2,25 +2,25 @@
 
 The rho-cycles of forms.py decide principality completely: an invertible
 ideal is principal exactly when its reduced form lies on the cycle of (1),
-and the rho multipliers along the way multiply to a generator.  Other
-fields are refused; a class number 1 field never asks (classnumber).
+and the rho multipliers along the way multiply to a generator; the cycle is
+that of forms.rho_cycles.  Other fields are refused; a class number 1 field
+never asks (classnumber).
 """
 
 from math import gcd
 
 from .errors import ValidationError
 from .field import FieldDescriptor
-from .forms import RhoCycles, ideal_generator, power_basis
+from .forms import ideal_generator, power_basis, rho_cycles
 from .ideals import IdealHNF, principal_ideal
 
 
-def principal_generator(a: IdealHNF, F: FieldDescriptor, cycles: RhoCycles = None):
+def principal_generator(a: IdealHNF, F: FieldDescriptor):
     """Find x with (x) = a, exactly verified through HNF equality.
 
     Returns x, or None, which is a proof: a non-invertible a is not
     principal, and otherwise forms.ideal_generator decides on the cycle of
-    (1), read off cycles, the field's RhoCycles, or walked afresh when
-    cycles is None.  A field that is not real quadratic raises
+    (1) of forms.rho_cycles.  A field that is not real quadratic raises
     ValidationError.
     """
     if F.degree != 2 or F.signature[0] != 2:
@@ -29,7 +29,7 @@ def principal_generator(a: IdealHNF, F: FieldDescriptor, cycles: RhoCycles = Non
     if gcd(*form) != 1:
         return None
     A, b, C = form
-    mu = ideal_generator(form, cycles or RhoCycles(b * b - 4 * A * C))
+    mu = ideal_generator(form, rho_cycles(b * b - 4 * A * C))
     if mu is None:
         return None
     gen = tuple(c * t for t in power_basis(mu, F.min_poly))

@@ -22,7 +22,7 @@ from .abgroup import KernelLattice, QuotientStructure, kernel_of_map
 from .congruence import RESIDUE_ENUMERATION_CAP, CongruenceSignGroup, residue_sign_group
 from .errors import TorsionObstruction
 from .field import FieldDescriptor, element_mul, element_pow, element_unit_inverse
-from .forms import fundamental_unit, power_basis
+from .forms import power_basis, rho_cycles
 from .ideals import IdealHNF
 
 
@@ -32,13 +32,13 @@ def fundamental_unit_real_quadratic(d):
     The order is Z[theta] with theta^2 + c1*theta + c0 = 0, the min_poly of
     real_quadratic_field: theta = (1+sqrt d)/2 for d = 1 mod 4, else sqrt d.
     The unit is the product of the rho multipliers once around the cycle
-    of (1) (forms.fundamental_unit).
+    of (1), the unit of forms.rho_cycles; no other cycle is walked.
     """
     if d <= 1 or isqrt(d) ** 2 == d:
         raise ValueError("d must exceed 1 and not be a perfect square")
     if d % 4 == 1:
-        return power_basis(fundamental_unit(d), (-(d - 1) // 4, -1, 1))
-    return power_basis(fundamental_unit(4 * d), (-d, 0, 1))
+        return power_basis(rho_cycles(d).unit, (-(d - 1) // 4, -1, 1))
+    return power_basis(rho_cycles(4 * d).unit, (-d, 0, 1))
 
 
 def unit_generators(F: FieldDescriptor):

@@ -3,6 +3,7 @@
 import random
 from math import gcd, isqrt
 
+from torushecke import forms
 from torushecke.abgroup import ExponentGroup, closure_from_stream
 from class_oracles import (
     degree_one_primes_over,
@@ -10,7 +11,7 @@ from class_oracles import (
     wide_class_of,
     wide_class_reps,
 )
-from torushecke.classnumber import real_quadratic_field
+from torushecke.classnumber import WideClassGroup, real_quadratic_field
 from torushecke.cli import moduli_upto
 from torushecke.congruence import residue_sign_group
 from torushecke.field import FieldDescriptor, element_mul, poly_discriminant, validate_descriptor
@@ -25,7 +26,8 @@ from torushecke.ideals import (
 )
 from torushecke.intlinalg import hnf_reduce
 from torushecke.primes import factor_prime, prime_ideals_over, prime_to_ideal
-from torushecke.rayclass import narrow_class_number
+from torushecke.rayclass import narrow_class_number, ray_class_group
+from torushecke.units import unit_image_in_modulus
 
 
 def _closure_class_number(F):
@@ -58,6 +60,26 @@ def test_wide_class_numbers():
         F = real_quadratic_field(d)
         assert F.class_number == h
         assert _closure_class_number(F) == h
+
+
+def test_one_rho_cycle_walk_per_discriminant(monkeypatch):
+    # the builder, the descriptor check and the wide class group of three
+    # moduli read one enumeration of the reduced forms and one walk of (1)
+    calls = dict.fromkeys(("reduced_forms", "_principal_cycle"), 0)
+    for name in calls:
+
+        def counted(D, name=name, fn=getattr(forms, name)):
+            calls[name] += 1
+            return fn(D)
+
+        monkeypatch.setattr(forms, name, counted)
+    forms.rho_cycles.cache_clear()
+    F = real_quadratic_field(229)
+    wide = WideClassGroup(F)
+    for m in (1, 2, 5):
+        ray_class_group(unit_image_in_modulus(F, rational_ideal(m, F)), wide)
+    assert wide.order == 3
+    assert calls == {"reduced_forms": 1, "_principal_cycle": 1}
 
 
 def test_cycle_class_numbers_match_the_closure_and_the_form_cycles():

@@ -452,6 +452,23 @@ def test_verify_configuration_that_ran_out_exits_two(monkeypatch, capsys):
     assert agg["pass"] is False
 
 
+def test_a_class_representative_cap_that_runs_out_exits_two(monkeypatch, capsys):
+    # Q(sqrt229) has class number 3; below 5 no representatives coprime to
+    # some moduli of norm <= 15 are found, and a cap that ran out is no
+    # failed check
+    monkeypatch.setattr(classnumber, "CLASS_CLOSURE_CAP", 5)
+    argv = ["--d", "229", "--prime", "7", "--modulus-norm", "15"]
+    assert main(["invariants", *argv]) == 2
+    assert capsys.readouterr().err == (
+        "CapExceeded: class representative sweep exhausted its cap\n"
+    )
+    assert main(["verify", *argv]) == 2
+    errors = [r["error"] for r in json.loads(capsys.readouterr().out)["results"] if "error" in r]
+    assert errors and all(
+        e == "CapExceeded: class representative sweep exhausted its cap" for e in errors
+    )
+
+
 def test_verify_records_a_value_error_and_goes_on(monkeypatch, capsys):
     built = cli.ray_class_group
 

@@ -84,9 +84,22 @@ def _mutate(**kw):
         _mutate(fundamental_units=[[3, 2]]),  # eps^2 is a unit but not fundamental
         _mutate(class_number=2),  # Q(sqrt2) has class number 1
         {**SQRT10, "class_number": 1},  # the true class number is 2
+        # class number 2 off a real quadratic field: Q(zeta7)+ of conftest
+        {
+            "label": "Q(zeta7)+",
+            "min_poly": [-1, -2, 1, 1],
+            "signature": [3, 0],
+            "torsion": {"order": 2, "generator": [-1, 0, 0]},
+            "fundamental_units": [[0, 1, 0], [1, 1, 0]],
+            "class_number": 2,
+        },
     ],
 )
 def test_validate_rejects(bad):
+    # the unit and class number of D = 8 and D = 40 are read off the
+    # rho-cycles that the native Q(sqrt2) and Q(sqrt10) already walked
+    real_quadratic_field(2)
+    real_quadratic_field(10)
     with pytest.raises(ValidationError):
         load_descriptor(bad)
 
