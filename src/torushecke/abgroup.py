@@ -11,7 +11,7 @@ form on that lattice.
 
 from typing import NamedTuple
 
-from .intlinalg import IntMatrix, hnf_columns, smith_normal_form, snf_diagonal
+from .intlinalg import IntMatrix, hnf_columns, hnf_invariant_factors, smith_normal_form
 
 
 class PolycyclicClosure(NamedTuple):
@@ -105,8 +105,7 @@ class ExponentGroup(NamedTuple):
         return n
 
     def invariant_factors(self):
-        m = IntMatrix.from_rows([list(r) for r in self.hnf])
-        return tuple(d for d in snf_diagonal(m) if d > 1)
+        return hnf_invariant_factors(self.hnf)
 
 
 class QuotientStructure(NamedTuple):
@@ -194,6 +193,6 @@ def kernel_of_map(map_columns, relation_columns, s, k):
     index = 1
     for i in range(s):
         index *= hnf[i][i]
-    inv = tuple(x for x in snf_diagonal(IntMatrix.from_rows([list(r) for r in hnf])) if x > 1)
+    inv = hnf_invariant_factors(hnf)
     kernel = KernelLattice(hnf=hnf, index=index, image_invariant_factors=inv)
     return kernel, quotient

@@ -5,7 +5,10 @@ trailing zeros (the zero polynomial is the empty tuple).  Factorization runs
 squarefree decomposition, then distinct-degree splitting by modular Frobenius
 powers, then equal-degree splitting by Cantor-Zassenhaus (the trace map in
 characteristic 2) with a seed derived from the input, so results are
-reproducible.
+reproducible.  A monic quadratic over an odd ell, the shape of every native
+field's min_poly, is split by its discriminant instead: Euler's criterion,
+then a Tonelli-Shanks square root.  Characters and generator proofs in a
+prime field F_ell run on integers mod ell with pow.
 """
 
 import random
@@ -240,11 +243,65 @@ def factor_poly_mod_ell(coeffs, ell):
     if not f:
         raise ValueError("zero polynomial")
     f = poly_monic(f, ell)
-    factors = {}
-    _factor_with_multiplicity(f, ell, 1, factors)
-    items = [(g, m) for g, m in factors.items()]
+    if len(f) == 3 and ell % 2:
+        items = _factor_quadratic(f, ell)
+    else:
+        factors = {}
+        _factor_with_multiplicity(f, ell, 1, factors)
+        items = list(factors.items())
     items.sort(key=lambda gm: (len(gm[0]), balanced_coeffs(gm[0], ell)))
     return items
+
+
+def _factor_quadratic(f, ell):
+    """Factors of a monic quadratic f = x^2 + b x + c over F_ell, ell an odd
+    prime, from its discriminant: irreducible when that is a non-residue,
+    else (x - r)(x - r') with r = (-b +- sqrt(disc)) / 2, each root checked
+    by substitution."""
+    c, b, _ = f
+    disc = (b * b - 4 * c) % ell
+    if disc and pow(disc, (ell - 1) // 2, ell) != 1:
+        return [(f, 1)]
+    root = sqrt_mod(disc, ell)
+    half = (ell + 1) // 2
+    roots = {(-b + root) * half % ell, (-b - root) * half % ell}
+    for r in roots:
+        if (r * r + b * r + c) % ell:
+            raise ArithmeticError(f"{r} is not a root of {f} mod {ell}")
+    mult = 3 - len(roots)
+    return [((-r % ell, 1), mult) for r in roots]
+
+
+def sqrt_mod(a, ell):
+    """A square root of a quadratic residue a mod an odd prime ell, by
+    Tonelli-Shanks (a root of 0 is 0); ArithmeticError when none is found."""
+    a %= ell
+    if a == 0:
+        return 0
+    q, s = ell - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    x, t = pow(a, (q + 1) // 2, ell), pow(a, q, ell)
+    if t == 1:
+        return x
+    # a non-residue z: its q-th power generates the 2-Sylow subgroup
+    z = next((z for z in range(2, ell) if pow(z, (ell - 1) // 2, ell) == ell - 1), None)
+    if z is None:
+        raise ArithmeticError(f"no quadratic non-residue mod {ell}")
+    c = pow(z, q, ell)
+    while t != 1:
+        # the least i with t^(2^i) = 1
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % ell
+            i += 1
+            if i == s:
+                raise ArithmeticError(f"{a} is not a square mod {ell}")
+        b = pow(c, 1 << (s - i - 1), ell)
+        x, c = x * b % ell, b * b % ell
+        t, s = t * c % ell, i
+    return x
 
 
 def balanced_coeffs(g, ell):
@@ -443,11 +500,21 @@ def find_generator(field: FqField) -> FqElement:
     raise GeneratorError("multiplicative group has no generator?")
 
 
+def _mul_mod(q):
+    return lambda a, b: a * b % q
+
+
 def verify_generator(g: FqElement):
-    q = g.field.order
+    fld = g.field
+    q = fld.order
     if q > GENERATOR_FIELD_CAP:
         raise CapExceeded(f"field order {q} exceeds generator search cap")
-    fault = order_fault(g, q - 1, factor_int(q - 1), FqElement.__mul__, g.field.one())
+    fac = factor_int(q - 1)
+    if fld.f == 1:
+        # F_ell is the integers mod ell
+        fault = order_fault(g.coords[0], q - 1, fac, _mul_mod(q), 1)
+    else:
+        fault = order_fault(g, q - 1, fac, FqElement.__mul__, fld.one())
     if fault:
         raise GeneratorError(f"element {g.coords}: {fault}")
 
@@ -456,9 +523,12 @@ def pth_character(x: FqElement, p: int, g: FqElement) -> int:
     """Order-p character value of x, under the generator convention g.
 
     With zeta = g**((q-1)/p), returns the k in F_p with
-    x**((q-1)/p) = zeta**k.  Requires p | q - 1 and x != 0.
+    x**((q-1)/p) = zeta**k.  Requires p | q - 1, x != 0 and g a generator
+    of x's field.  In a prime field the powers are integer pows mod ell.
     """
     fld = x.field
+    if g.field != fld:
+        raise CharacterUndefined(f"generator of {g.field} for an element of {fld}")
     q = fld.order
     if (q - 1) % p != 0:
         raise CharacterUndefined(f"p={p} does not divide q-1={q - 1}")
@@ -466,11 +536,14 @@ def pth_character(x: FqElement, p: int, g: FqElement) -> int:
         raise CharacterUndefined("character of zero")
     verify_generator(g)
     e = (q - 1) // p
-    zeta = g ** e
-    y = x ** e
-    acc = fld.one()
+    if fld.f == 1:
+        zeta, y, acc = pow(g.coords[0], e, q), pow(x.coords[0], e, q), 1
+        mul = _mul_mod(q)
+    else:
+        zeta, y, acc = g ** e, x ** e, fld.one()
+        mul = FqElement.__mul__
     for k in range(p):
-        if (y - acc).is_zero():
+        if y == acc:
             return k
-        acc = acc * zeta
+        acc = mul(acc, zeta)
     raise ArithmeticError("character value not found; generator invalid?")

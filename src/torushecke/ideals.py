@@ -10,7 +10,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .field import FieldDescriptor, element_mul
-from .intlinalg import hnf_columns, hnf_reduce
+from .intlinalg import IntMatrix, hnf_columns, hnf_reduce
 
 
 class IdealHNF(NamedTuple):
@@ -64,7 +64,8 @@ def principal_ideal(x, F: FieldDescriptor):
 
 
 def unit_ideal(F: FieldDescriptor):
-    return principal_ideal(F.one(), F)
+    """The whole ring, whose HNF is the identity."""
+    return IdealHNF(IntMatrix.identity(F.degree).entries)
 
 
 def rational_ideal(m, F: FieldDescriptor):

@@ -6,6 +6,7 @@ transforms, column-style Hermite normal form for lattices and a
 fraction-free determinant.
 """
 
+from math import gcd
 from typing import NamedTuple
 
 
@@ -141,7 +142,11 @@ def smith_normal_form(m: IntMatrix):
             u[t] = [-x for x in u[t]]
         t += 1
 
-    return IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
+    return (
+        IntMatrix(rows, rows, tuple(map(tuple, u))),
+        IntMatrix(rows, cols, tuple(map(tuple, a))),
+        IntMatrix(cols, cols, tuple(map(tuple, v))),
+    )
 
 
 def snf_diagonal(m: IntMatrix):
@@ -152,6 +157,19 @@ def snf_diagonal(m: IntMatrix):
         if d[i, i] != 0:
             out.append(d[i, i])
     return out
+
+
+def hnf_invariant_factors(h):
+    """Invariant factors above 1 of Z^n modulo the columns of a full-rank
+    HNF h.  At n = 2, h = [[a, b], [0, c]] has gcd(a, b, c) and ac / gcd;
+    any other size takes its Smith form."""
+    if len(h) == 2:
+        (a, b), (_, c) = h
+        d = gcd(a, b, c)
+        factors = (d, a * c // d)
+    else:
+        factors = snf_diagonal(IntMatrix.from_rows(h))
+    return tuple(x for x in factors if x > 1)
 
 
 def hnf_columns(columns, n):
@@ -168,8 +186,7 @@ def hnf_columns(columns, n):
     basis = [None] * n
     # eliminate bottom row upward; gcd-combine columns sharing a pivot row
     for row in range(n - 1, -1, -1):
-        live = [c for c in cols if any(c[i] != 0 for i in range(row + 1))]
-        cols = live
+        cols = [c for c in cols if any(c[:row + 1])]
         pivot = None
         rest = []
         for c in cols:

@@ -17,6 +17,7 @@ from .errors import ValidationError
 from .field import FieldDescriptor
 from .galois import power
 from .ideals import IdealHNF, conjugate_ideal, ideal_is_coprime, ideal_product, unit_ideal
+from .intlinalg import IntMatrix
 from .primes import prime_to_ideal
 from .units import UnitImage, unit_image_in_modulus
 
@@ -127,6 +128,43 @@ def _principal_part(q_delta, q_norm, quotient):
     return tuple((x - y) % f for x, y, f in zip(q_delta, q_norm, quotient.factors))
 
 
+def sequence_relations(quotient, wide_mult, shift):
+    """Relations of Z^s x Z^(h-1) cutting out G: Q's factors, and
+    c_k1 + c_k2 = c_(k1 k2) + shift[k1][k2] for every wide pair."""
+    h = len(wide_mult)
+    n = len(quotient.factors)
+    zero = (0,) * n
+    relations = [
+        _exponents(0, tuple(f * (i == j) for i in range(n)), h)
+        for j, f in enumerate(quotient.factors)
+    ]
+    for k1 in range(h):
+        for k2 in range(h):
+            c1, c2 = _exponents(k1, zero, h), _exponents(k2, zero, h)
+            c3 = _exponents(wide_mult[k1][k2], shift[k1][k2], h)
+            relations.append(tuple(x + y - z for x, y, z in zip(c1, c2, c3)))
+    return relations
+
+
+def _sequence_structure(quotient, wide_mult, shift):
+    """G's Smith form, the quotient of Z^s x Z^(h-1) by sequence_relations.
+
+    At h = 1 the one pair relation is -shift[0][0], which must vanish, so
+    the relations are Q's factors on the diagonal: G is Q, on the identity
+    transform, and needs no reduction."""
+    if len(wide_mult) > 1:
+        n = len(quotient.factors) + len(wide_mult) - 1
+        return quotient_structure(sequence_relations(quotient, wide_mult, shift), [], n)
+    if any(shift[0][0]):
+        raise ArithmeticError("the factor set of the trivial class is not zero")
+    n = len(quotient.factors)
+    return QuotientStructure(
+        factors=quotient.factors,
+        u_rows=IntMatrix.identity(n).entries,
+        row_indices=tuple(range(n)),
+    )
+
+
 def ray_class_group(ui: UnitImage, wide: WideClassGroup = None):
     """Narrow ray class group of the modulus the unit image was built for.
 
@@ -160,19 +198,7 @@ def ray_class_group(ui: UnitImage, wide: WideClassGroup = None):
             for delta, k in zip(deltas, ks)
         ))
     wide_mult, shift = tuple(wide_mult), tuple(shift)
-    # relations: Q's factors, and c_k1 + c_k2 = c_(k1 k2) + shift[k1][k2]
-    n = len(quotient.factors)
-    zero = (0,) * n
-    relations = [
-        _exponents(0, tuple(f * (i == j) for i in range(n)), h)
-        for j, f in enumerate(quotient.factors)
-    ]
-    for k1 in range(h):
-        for k2 in range(h):
-            c1, c2 = _exponents(k1, zero, h), _exponents(k2, zero, h)
-            c3 = _exponents(wide_mult[k1][k2], shift[k1][k2], h)
-            relations.append(tuple(x + y - z for x, y, z in zip(c1, c2, c3)))
-    snf = quotient_structure(relations, [], n + h - 1)
+    snf = _sequence_structure(quotient, wide_mult, shift)
     if snf.order != h * quotient.order:
         raise ArithmeticError("exact sequence order disagrees with h_wide * |Q|")
 

@@ -296,9 +296,9 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
 
 
 def test_each_modulus_reduces_its_unit_map_once(monkeypatch):
-    # per modulus, one Smith form gives the unit kernel and Q, one the image
-    # invariants and one G, which has no relation to reduce when Q and the
-    # wide class group are both trivial (6 of the 72 moduli here)
+    # per modulus, one Smith form gives the unit kernel and Q; the image
+    # invariants are read off the 2 x 2 kernel HNF, and at class number 1
+    # G is Q itself, so only the 13 moduli of Q(sqrt10) (h = 2) reduce G
     calls = dict.fromkeys(("smith_normal_form", "quotient_structure", "ray_class_group"), 0)
 
     def counting(name, fn):
@@ -314,12 +314,54 @@ def test_each_modulus_reduces_its_unit_map_once(monkeypatch):
     code, agg = run_verify(SweepConfig(fields=fields, modulus_norm_bound=10, primes=(3, 5, 7)))
     moduli = sum(len(moduli_upto(F, 10)) for F in fields)
     assert code == 0 and agg["configurations"] == 172 and moduli == 72
-    # the one quotient_structure call of a modulus is G's
+    h2 = len(moduli_upto(real_quadratic_field(10), 10))
+    assert h2 == 13
+    # the one quotient_structure call of such a modulus is G's
     assert calls == {
-        "smith_normal_form": 210,
-        "quotient_structure": moduli,
+        "smith_normal_form": moduli + h2,
+        "quotient_structure": h2,
         "ray_class_group": moduli,
     }
+
+
+def test_the_sweep_takes_the_fast_kernels(monkeypatch):
+    """On the criterion-4 sweep the general factorization runs for ell = 2
+    alone, as every other min_poly mod ell is a quadratic split by its
+    discriminant, and no character multiplies an FqElement, as every scan
+    prime has degree 1."""
+    peeled = []
+    general = galois._factor_with_multiplicity
+
+    def peel(f, ell, mult, out):
+        peeled.append(ell)
+        return general(f, ell, mult, out)
+
+    state = {"inside": 0, "characters": 0, "products": 0}
+    character = galois.pth_character
+
+    def watched_character(*args):
+        state["inside"] += 1
+        state["characters"] += 1
+        try:
+            return character(*args)
+        finally:
+            state["inside"] -= 1
+
+    fq_mul = galois.FqElement.__mul__
+
+    def watched_mul(x, y):
+        state["products"] += state["inside"] > 0
+        return fq_mul(x, y)
+
+    _patch_every_binding_site(monkeypatch, general, peel)
+    _patch_every_binding_site(monkeypatch, character, watched_character)
+    monkeypatch.setattr(galois.FqElement, "__mul__", watched_mul)
+    prime_ideals_over.cache_clear()
+    fields = tuple(real_quadratic_field(d) for d in (2, 3, 5, 6, 7, 10, 11, 13))
+    code, agg = run_verify(SweepConfig(fields=fields, modulus_norm_bound=10, primes=(3, 5, 7)))
+    assert code == 0 and agg["configurations"] == 172
+    assert set(peeled) == {2}
+    assert state["characters"] > 0 and state["products"] == 0
 
 
 def test_back_to_back_sweeps_print_identical_bytes(capsys):

@@ -2,23 +2,29 @@
 
 import operator
 import random
+from collections import Counter
 
 import pytest
 
+from torushecke import galois
 from torushecke.errors import CharacterUndefined, GeneratorError
 from class_oracles import distinct_roots
 from galois_oracles import extension_field
 from torushecke.galois import (
     CyclicGroup,
+    FqField,
+    balanced_coeffs,
     factor_int,
     factor_poly_mod_ell,
     find_generator,
     is_prime,
+    order_fault,
     poly_is_irreducible,
     poly_mul,
     poly_trim,
     power,
     pth_character,
+    sqrt_mod,
     verify_generator,
 )
 
@@ -78,6 +84,59 @@ def test_factor_goldens():
     assert factor_poly_mod_ell((0, 0, 1), 2) == [((0, 1), 2)]
 
 
+def _general_factors(f, ell):
+    """The general factorization of a monic f, the multiplicity peel with
+    Cantor-Zassenhaus, sorted as factor_poly_mod_ell sorts."""
+    out = {}
+    galois._factor_with_multiplicity(f, ell, 1, out)
+    return sorted(out.items(), key=lambda gm: (len(gm[0]), balanced_coeffs(gm[0], ell)))
+
+
+def test_quadratic_splitting_matches_the_general_factorization():
+    """The discriminant split of a monic quadratic over an odd ell against
+    the general kernel: every x^2 + b x + c mod every odd prime below 60,
+    then 2000 seeded random ones mod primes up to 10^5, every third the
+    square of a linear factor (the ramified shape) and some not monic."""
+    for ell in (ell for ell in range(3, 60) if is_prime(ell)):
+        for b in range(ell):
+            for c in range(ell):
+                assert factor_poly_mod_ell((c, b, 1), ell) == _general_factors((c, b, 1), ell)
+    rng = random.Random(25)
+    shapes = Counter()
+    for i in range(2000):
+        ell = 2
+        while ell == 2 or not is_prime(ell):
+            ell = rng.randrange(3, 10**5)
+        if i % 3 == 0:
+            r = rng.randrange(ell)
+            f = (r * r % ell, -2 * r % ell, 1)
+        else:
+            f = (rng.randrange(ell), rng.randrange(ell), 1)
+        lead = 1 if i % 2 else rng.randrange(1, ell)
+        factors = factor_poly_mod_ell(tuple(c * lead for c in f), ell)
+        assert factors == _general_factors(f, ell), (f, ell)
+        shapes[tuple((len(g) - 1, m) for g, m in factors)] += 1
+    # split, inert and ramified all occur
+    assert set(shapes) == {((1, 1), (1, 1)), ((2, 1),), ((1, 2),)}
+
+
+def test_quadratic_splitting_checks_its_roots(monkeypatch):
+    monkeypatch.setattr(galois, "sqrt_mod", lambda a, ell: 9)
+    with pytest.raises(ArithmeticError):
+        factor_poly_mod_ell((29, 0, 1), 31)  # x^2 - 2 has the roots 8, 23
+
+
+def test_sqrt_mod_against_the_table_of_squares():
+    for ell in (ell for ell in range(3, 200) if is_prime(ell)):
+        squares = {x * x % ell for x in range(ell)}
+        for a in range(ell):
+            if a in squares:
+                assert sqrt_mod(a, ell) ** 2 % ell == a, (a, ell)
+            else:
+                with pytest.raises(ArithmeticError):
+                    sqrt_mod(a, ell)
+
+
 def test_character_goldens_q31_p5():
     fld = extension_field(31, 1)
     g = fld.from_int(3)
@@ -119,6 +178,55 @@ def test_character_undefined_and_generator_errors():
         verify_generator(fld.from_int(2))  # 2 has order 5 mod 31
     with pytest.raises(GeneratorError):
         pth_character(fld.from_int(2), 5, fld.from_int(5))  # 5^3 = 125 = 1 mod 31
+
+
+def _fq_character(x, p, g):
+    """The order-p character by FqElement powers, the extension-field kernel."""
+    e = (x.field.order - 1) // p
+    zeta, y = g**e, x**e
+    return next(k for k in range(p) if zeta**k == y)
+
+
+def test_prime_field_characters_match_the_fq_element_kernel():
+    """Every x in F_ell^x, ell = 1 mod p below 200, p = 2, 3, 5, 7."""
+    pairs = [(ell, p) for p in (2, 3, 5, 7) for ell in range(3, 200)
+             if is_prime(ell) and ell % p == 1]
+    assert len(pairs) == 45 + 21 + 10 + 6
+    for ell, p in pairs:
+        fld = extension_field(ell, 1)
+        g = find_generator(fld)
+        for n in range(1, ell):
+            x = fld.from_int(n)
+            assert pth_character(x, p, g) == _fq_character(x, p, g), (ell, p, n)
+
+
+def test_prime_field_generator_proof_matches_the_fq_element_kernel():
+    """verify_generator in integers mod ell refuses exactly the elements
+    whose FqElement order proof fails, with the same message."""
+    for ell in (ell for ell in range(2, 100) if is_prime(ell)):
+        fld = extension_field(ell, 1)
+        fac = factor_int(ell - 1)
+        for n in range(1, ell):
+            x = fld.from_int(n)
+            fault = order_fault(x, ell - 1, fac, operator.mul, fld.one())
+            if fault is None:
+                verify_generator(x)
+            else:
+                with pytest.raises(GeneratorError) as err:
+                    verify_generator(x)
+                assert str(err.value) == f"element {x.coords}: {fault}"
+
+
+def test_character_refuses_a_generator_of_another_field():
+    """An element of F_31 with a generator of F_11, and an element of F_25
+    with a generator of F_25 presented by another modulus."""
+    with pytest.raises(CharacterUndefined):
+        pth_character(extension_field(31, 1).from_int(3), 5, find_generator(extension_field(11, 1)))
+    fld = extension_field(5, 2)
+    other = FqField(5, 2, (3, 0, 1))
+    assert fld.modulus != other.modulus
+    with pytest.raises(CharacterUndefined):
+        pth_character(fld.from_int(7), 3, find_generator(other))
 
 
 def test_find_generator_int_small_primes():

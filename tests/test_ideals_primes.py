@@ -6,7 +6,7 @@ import pytest
 
 from torushecke.cli import moduli_upto
 from torushecke.errors import RamifiedOrIndexPrime
-from torushecke.field import element_mul, element_norm
+from torushecke.field import element_mul, element_norm, load_descriptor
 from torushecke.galois import balanced_coeffs, is_prime
 from torushecke.ideals import (
     conjugate_ideal,
@@ -156,6 +156,14 @@ def test_ideal_from_generators_contains_generators(F2):
         assert a.contains(element_mul(g, (0, 1), F2))
     with pytest.raises(ValueError):
         ideal_from_generators([(0, 0)], F2)
+
+
+def test_unit_ideal_is_the_principal_ideal_of_one(F2, F3, F5, F10, cubic_descriptors):
+    """The identity HNF is the ideal that 1 generates, at degree 2 and 3."""
+    cubics = [load_descriptor(c) for c in cubic_descriptors]
+    for F in [F2, F3, F5, F10] + cubics:
+        assert unit_ideal(F) == principal_ideal(F.one(), F), F.label
+        assert unit_ideal(F).norm == 1
 
 
 def test_balanced_coeffs():

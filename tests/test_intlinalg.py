@@ -7,6 +7,7 @@ from torushecke.intlinalg import (
     IntMatrix,
     det,
     hnf_columns,
+    hnf_invariant_factors,
     hnf_reduce,
     smith_normal_form,
     snf_diagonal,
@@ -63,6 +64,20 @@ def test_snf_golden_diag():
     assert snf_diagonal(m) == [1, 6]
     m2 = IntMatrix.from_rows([[4, 0], [0, 6]])
     assert snf_diagonal(m2) == [2, 12]
+
+
+def test_two_by_two_hnf_invariants_match_the_smith_form():
+    """gcd(a, b, c) and ac / gcd of [[a, b], [0, c]] against snf_diagonal
+    on 500 seeded HNFs with entries up to 10, 10^3 or 10^12."""
+    rng = random.Random(25)
+    for _ in range(500):
+        bound = rng.choice((10, 10**3, 10**12))
+        a, c = rng.randint(1, bound), rng.randint(1, bound)
+        h = ((a, rng.randrange(a)), (0, c))
+        want = tuple(x for x in snf_diagonal(IntMatrix.from_rows(h)) if x > 1)
+        assert hnf_invariant_factors(h) == want, h
+    assert hnf_invariant_factors(((4, 2), (0, 6))) == (2, 12)
+    assert hnf_invariant_factors(((1, 0, 0), (0, 2, 1), (0, 0, 4))) == (8,)
 
 
 def test_det_oracle_vs_permutation_expansion():

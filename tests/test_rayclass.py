@@ -15,7 +15,12 @@ from torushecke.galois import primes_stream
 from torushecke.ideals import ideal_product, rational_ideal, unit_ideal
 from torushecke.intlinalg import IntMatrix, hnf_columns, smith_normal_form, snf_diagonal
 from torushecke.primes import _min_poly_disc, factor_prime, prime_to_ideal
-from torushecke.rayclass import narrow_class_number, ray_class_group
+from torushecke.rayclass import (
+    _sequence_structure,
+    narrow_class_number,
+    ray_class_group,
+    sequence_relations,
+)
 from torushecke.units import unit_image_in_modulus
 
 
@@ -227,7 +232,9 @@ def two_reduction_oracle(ui):
     return KernelLattice(hnf=hnf, index=index, image_invariant_factors=inv), quotient
 
 
-def test_one_reduction_matches_the_two_reduction_oracle(F2, cubic_descriptors):
+def _oracle_moduli(F2, cubic_descriptors):
+    """(field, modulus) over the criterion-4 sweep, the two cubics at norm
+    <= 13 and Q(sqrt2) at norms 1152 and 1334025."""
     fields = [real_quadratic_field(d) for d in (2, 3, 5, 6, 7, 10, 11, 13)]
     sweep = [(F, m) for F in fields for m, _ in moduli_upto(F, 10)]
     # the 172 configurations of the criterion-4 sweep, at p = 3, 5, 7
@@ -237,12 +244,39 @@ def test_one_reduction_matches_the_two_reduction_oracle(F2, cubic_descriptors):
     large = [(F2, m) for n in (1152, 1334025) for m in moduli_of_norm(F2, n)]
     # P2^7 (3); and (3)(5)(11) times P7^2, P7 P7' or P7'^2
     assert len(large) == 4
-    pairs += large
-    for F, m in pairs:
+    return pairs + large
+
+
+def test_one_reduction_matches_the_two_reduction_oracle(F2, cubic_descriptors):
+    # the oracle's image invariants are snf_diagonal of the kernel HNF, which
+    # kernel_of_map reads off a 2 x 2 HNF without a Smith form
+    for F, m in _oracle_moduli(F2, cubic_descriptors):
         ui = unit_image_in_modulus(F, m)
         kernel, quotient = two_reduction_oracle(ui)
         assert ui.kernel == kernel, (F.label, m.hnf)
         assert ui.quotient == quotient, (F.label, m.hnf)
+
+
+def test_g_is_q_at_class_number_one_against_the_reduction_oracle(F2, cubic_descriptors):
+    """G's Smith form against quotient_structure of the sequence relations,
+    the reduction ray_class_group skips at h = 1."""
+    trivial = 0
+    for F, m in _oracle_moduli(F2, cubic_descriptors):
+        G = ray_class_group(unit_image_in_modulus(F, m))
+        h = len(G.wide_reps)
+        relations = sequence_relations(G.unit_quotient, G.wide_mult, G.shift)
+        n = len(G.unit_quotient.factors) + h - 1
+        assert G.snf == quotient_structure(relations, [], n), (F.label, m.hnf)
+        trivial += h == 1
+    # 88 moduli: all but the 13 of Q(sqrt10) have h = 1
+    assert trivial == 88 - 13
+
+
+def test_a_trivial_class_with_a_factor_set_is_refused():
+    quotient = quotient_structure([(2,)], [], 1)
+    with pytest.raises(ArithmeticError):
+        _sequence_structure(quotient, ((0,),), (((1,),),))
+    assert _sequence_structure(quotient, ((0,),), (((0,),),)) == quotient
 
 
 def test_exact_sequence_law_matches_the_cayley_oracle():
