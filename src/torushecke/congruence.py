@@ -113,10 +113,6 @@ class CongruenceSignGroup(NamedTuple):
             out *= c.order
         return out
 
-    @property
-    def order(self):
-        return self.residue_order * 2 ** self.n_sign_coords
-
     def element_vector(self, x):
         """Exponent vector of a coprime element: local dlogs then sign bits."""
         vec = []

@@ -454,9 +454,6 @@ class FqElement(NamedTuple):
     def __add__(self, other):
         return self.field.element(poly_add(self.coords, other.coords, self.field.ell))
 
-    def __sub__(self, other):
-        return self.field.element(poly_sub(self.coords, other.coords, self.field.ell))
-
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)

@@ -360,18 +360,13 @@ def psi_report(G: RayClassGroup, E: UnitImage, scan: TpScan):
 
     The domain is one copy of the stacked-character span per class; the
     image is spanned by H_phi 1_a, which is phi in the one block z^-1 * a
-    (z the identity shift of H_phi).  The identity is checked to fix every
-    code, wide_mult[0][k] = k and shift[0][k] = 0 (ArithmeticError
-    otherwise), so every block sees the same rows and the image dimension
-    is h_plus times the F_p rank of the visited rows.  Both ranks are
-    reported as measured; the verify checks compare them with
+    (z the identity shift of H_phi).  ray_class_group checked that the
+    identity fixes every class, so every block sees the same rows and the
+    image dimension is h_plus times the F_p rank of the visited rows.  Both
+    ranks are reported as measured; the verify checks compare them with
     h_plus * t_p.
     """
     scan.require_target()
-    codes = enumerate(zip(G.wide_mult[0], G.shift[0]))
-    fixed = all(k == j and not any(s) for j, (k, s) in codes)
-    if not fixed or G.inverse(G.identity) != G.identity:
-        raise ArithmeticError("the identity shift does not fix every class code")
     p = scan.p
     r = G.field.unit_rank
     r_p = compute_rp(G.field, p)

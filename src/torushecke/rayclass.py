@@ -81,11 +81,7 @@ class RayClassGroup(NamedTuple):
 
     def snf_coords(self, i):
         """Coordinates of class i in prod Z/d over the invariant factors."""
-        return self.code_coords(*self._decode(i))
-
-    def code_coords(self, k, q):
-        """SNF coordinates of the exponent vector of (k, q), q not reduced
-        mod Q's factors: linear in q, and in the indicator of k."""
+        k, q = self._decode(i)
         return self.snf.project(_exponents(k, q, len(self.wide_reps)))
 
     def class_of(self, a: IdealHNF):
@@ -146,18 +142,15 @@ def sequence_relations(quotient, wide_mult, shift):
     return relations
 
 
-def _sequence_structure(quotient, wide_mult, shift):
+def _sequence_structure(quotient, relations):
     """G's Smith form, the quotient of Z^s x Z^(h-1) by sequence_relations.
 
-    At h = 1 the one pair relation is -shift[0][0], which must vanish, so
-    the relations are Q's factors on the diagonal: G is Q, on the identity
-    transform, and needs no reduction."""
-    if len(wide_mult) > 1:
-        n = len(quotient.factors) + len(wide_mult) - 1
-        return quotient_structure(sequence_relations(quotient, wide_mult, shift), [], n)
-    if any(shift[0][0]):
-        raise ArithmeticError("the factor set of the trivial class is not zero")
-    n = len(quotient.factors)
+    At h = 1 the relations are Q's factors on the diagonal and the one pair
+    relation -shift[0][0], which ray_class_group checks to vanish: G is Q,
+    on the identity transform, and needs no reduction."""
+    n = len(relations[0])
+    if n > len(quotient.factors):
+        return quotient_structure(relations, [], n)
     return QuotientStructure(
         factors=quotient.factors,
         u_rows=IntMatrix.identity(n).entries,
@@ -172,6 +165,13 @@ def ray_class_group(ui: UnitImage, wide: WideClassGroup = None):
     one when None; a WideClassGroup of another field is refused.  Q is the
     unit image's cokernel.  What is left per modulus is the choice of
     representatives coprime to it and their images in Q.
+
+    The code law is checked once here (ArithmeticError otherwise): the
+    identity code fixes every class, and G's Smith form sends every
+    relation of sequence_relations to zero.  The second check makes the
+    SNF coordinates a homomorphism of the code law mod every invariant
+    factor: a product adds the codes' exponent vectors, up to one pair
+    relation and the wraps of q mod Q's factors.
     """
     csg = ui.csg
     F = csg.field
@@ -198,9 +198,14 @@ def ray_class_group(ui: UnitImage, wide: WideClassGroup = None):
             for delta, k in zip(deltas, ks)
         ))
     wide_mult, shift = tuple(wide_mult), tuple(shift)
-    snf = _sequence_structure(quotient, wide_mult, shift)
+    if any(wide_mult[0][k] != k or any(shift[0][k]) for k in range(h)):
+        raise ArithmeticError("the identity code does not fix every class")
+    relations = sequence_relations(quotient, wide_mult, shift)
+    snf = _sequence_structure(quotient, relations)
     if snf.order != h * quotient.order:
         raise ArithmeticError("exact sequence order disagrees with h_wide * |Q|")
+    if any(any(snf.project(rel)) for rel in relations):
+        raise ArithmeticError("G's Smith form does not kill the sequence relations")
 
     return RayClassGroup(
         field=F,

@@ -134,13 +134,13 @@ def unit_image_in_modulus(F: FieldDescriptor, modulus: IdealHNF, cap=RESIDUE_ENU
     )
 
 
-def e_units(ui: UnitImage, p=None):
+def e_units(ui: UnitImage, p):
     """E(modulus) for the prime p: the unit image ui itself, once p is checked.
 
-    When p is given and E has torsion of order divisible by p the cohomology
-    model downstream is invalid and the computation refuses.
+    When E has torsion of order divisible by p the cohomology model
+    downstream is invalid and the computation refuses.
     """
-    if p is not None and ui.torsion_order % p == 0:
+    if ui.torsion_order % p == 0:
         raise TorsionObstruction(
             f"E(modulus) contains p-torsion (order {ui.torsion_order}, p={p}); "
             "the free cohomology model does not apply"

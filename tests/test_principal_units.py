@@ -242,7 +242,7 @@ def test_unit_power_product(F2):
 
 
 def test_e_units_trivial_modulus_sqrt2(F2, one2):
-    E = e_units(unit_image_in_modulus(F2, one2))
+    E = e_units(unit_image_in_modulus(F2, one2), 5)
     assert E.index == 4
     assert E.rank == 1
     values = tuple(unit_power_product(col, F2) for col in E.exponent_vectors)
@@ -254,7 +254,7 @@ def test_e_units_trivial_modulus_sqrt2(F2, one2):
 
 
 def test_e_units_trivial_modulus_sqrt3(F3):
-    E = e_units(unit_image_in_modulus(F3, unit_ideal(F3)))
+    E = e_units(unit_image_in_modulus(F3, unit_ideal(F3)), 5)
     assert E.index == 2
     values = tuple(unit_power_product(col, F3) for col in E.exponent_vectors)
     assert values == ((2, 1),)  # the fundamental unit itself, norm +1
@@ -263,7 +263,7 @@ def test_e_units_trivial_modulus_sqrt3(F3):
 
 def test_e_units_mod_seven_sqrt2(F2, seven2):
     ui = unit_image_in_modulus(F2, seven2)
-    E = e_units(ui)
+    E = e_units(ui, 5)
     assert E is ui
     assert E.modulus == seven2
     assert E.index == 12

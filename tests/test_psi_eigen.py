@@ -8,9 +8,10 @@ from operator import mul
 
 import pytest
 
+from torushecke import rayclass
 from torushecke.abgroup import QuotientStructure
-from torushecke.classnumber import real_quadratic_field
-from torushecke.cli import moduli_of_norm, moduli_upto
+from torushecke.classnumber import real_quadratic_field, wide_class_reps
+from torushecke.cli import SweepConfig, moduli_of_norm, moduli_upto, run_verify
 from torushecke.eigen import (
     EigenReport,
     _p_prime_part,
@@ -32,7 +33,7 @@ from torushecke.hecke import (
     t1_primes,
 )
 from torushecke.ideals import rational_ideal, unit_ideal
-from torushecke.rayclass import RayClassGroup, ray_class_group
+from torushecke.rayclass import RayClassGroup, _sequence_structure, ray_class_group
 from torushecke.units import unit_image_in_modulus
 
 
@@ -321,17 +322,60 @@ def test_census_matches_the_fq_oracle_on_the_sweep(F2, stages):
     assert census.matched_both_degrees and census.count == 128
 
 
-def test_census_sees_a_corrupted_multiplication_table(F2, seven2, stages):
-    G, _, scan = stages(F2, seven2, 5)
+def _skewed_structure(quotient, relations):
+    """G's Smith form with its transform's rows reversed: the same factors,
+    so the order check passes, on a transform that does not kill the
+    relations when the rows it reads move."""
+    snf = _sequence_structure(quotient, relations)
+    return snf._replace(u_rows=snf.u_rows[::-1])
+
+
+def _refused_at_construction(ui, monkeypatch, match, reps=None, structure=None):
+    """ray_class_group of ui with wide_class_reps or _sequence_structure
+    replaced raises ArithmeticError matching match."""
+    with monkeypatch.context() as patch:
+        if reps is not None:
+            patch.setattr(rayclass, "wide_class_reps", reps)
+        if structure is not None:
+            patch.setattr(rayclass, "_sequence_structure", structure)
+        with pytest.raises(ArithmeticError, match=match):
+            ray_class_group(ui)
+
+
+def _sweep_under_a_skewed_structure(monkeypatch, F, bound, p):
+    """run_verify of F, moduli of norm <= bound, p, on skewed Smith forms."""
+    with monkeypatch.context() as patch:
+        patch.setattr(rayclass, "_sequence_structure", _skewed_structure)
+        return run_verify(SweepConfig(fields=(F,), modulus_norm_bound=bound, primes=(p,)))
+
+
+SKEWED_ROW = "ArithmeticError: G's Smith form does not kill the sequence relations"
+
+
+def test_census_sees_a_corrupted_multiplication_table(F2, seven2, stages, monkeypatch):
+    G, E, scan = stages(F2, seven2, 5)
     # h_wide is 1, so the law's one cocycle entry is the shift of the identity
     # lift; a nonzero shift moves every product off the SNF homomorphism
     assert G.shift == ((tuple(0 for _ in G.unit_quotient.factors),),)
+    assert G.unit_quotient.factors == (2, 6)
     broken = G._replace(shift=(((1,) + G.shift[0][0][1:],),))
-    for census in (eigensystem_report, fq_eigensystem_report):
-        assert census(G, scan).matched_both_degrees
-        rep = census(broken, scan)
-        assert not rep.matched_both_degrees
-        assert rep.count == 12
+    assert eigensystem_report(G, scan).matched_both_degrees
+    assert fq_eigensystem_report(G, scan).matched_both_degrees
+    rep = fq_eigensystem_report(broken, scan)
+    assert not rep.matched_both_degrees
+    assert rep.count == 12
+    # the library builds no such G: the representative (3) in place of (1)
+    # gives the identity a nonzero shift, and a Smith form whose transform
+    # does not kill the relations is refused as well
+    def principal_first(F, coprime_to, wide):
+        return (rational_ideal(3, F),)
+
+    _refused_at_construction(E, monkeypatch, "identity code", reps=principal_first)
+    _refused_at_construction(E, monkeypatch, "does not kill", structure=_skewed_structure)
+    # in a sweep that fault is an error row of the norm-49 modulus (7), exit 1
+    code, agg = _sweep_under_a_skewed_structure(monkeypatch, F2, 49, 5)
+    errors = [(row["modulus_norm"], row["error"]) for row in agg["results"] if "error" in row]
+    assert (code, agg["failures"], errors) == (1, [], [(49, SKEWED_ROW)])
 
 
 def full_width_dim_image(G: RayClassGroup, scan: TpScan):
@@ -372,27 +416,35 @@ def test_block_ranks_match_the_full_width_oracle(F2, stages):
     assert psi_report(G, E, scan).dim_image == per_class_dim_image(G, scan) == want == 128
 
 
-def test_pairing_and_census_make_linearly_many_products(F2, stages, monkeypatch):
-    # at most one product per (class, scanned operator or generator), plus
-    # one row of slack; the class-by-class operator application made h^2 * t
-    (modulus,) = moduli_of_norm(F2, 1152)
-    G, E, scan = stages(F2, modulus, 5)
+def _counted_group_calls(monkeypatch):
+    """(name, receiver) of every QuotientStructure.project and
+    RayClassGroup.multiply / inverse call from here on."""
     calls = []
 
     def counted(method):
         def wrapper(*args):
-            calls.append(method.__name__)
+            calls.append((method.__name__, args[0]))
             return method(*args)
 
         return wrapper
 
+    monkeypatch.setattr(QuotientStructure, "project", counted(QuotientStructure.project))
     for name in ("multiply", "inverse"):
         monkeypatch.setattr(RayClassGroup, name, counted(getattr(RayClassGroup, name)))
+    return calls
+
+
+def test_pairing_and_census_make_linearly_many_products(F2, stages, monkeypatch):
+    # the class-by-class operator application made h^2 * t products; the
+    # pairing reads one F_p rank and the census G's invariant factors, so
+    # neither makes a product, an inverse or a projection
+    (modulus,) = moduli_of_norm(F2, 1152)
+    G, E, scan = stages(F2, modulus, 5)
+    calls = _counted_group_calls(monkeypatch)
     psi = psi_report(G, E, scan)
     census = eigensystem_report(G, scan)
     assert psi.is_isomorphism and census.matched_both_degrees
-    n_gens = len(G.unit_quotient.factors) + len(G.wide_reps) - 1
-    assert 0 < len(calls) <= G.order * (len(scan.visited) + n_gens + 1)
+    assert calls == []
 
 
 def _class_number_three_stages(stages):
@@ -409,62 +461,84 @@ def _bumped(G, s):
     return tuple((x + 1) % f for x, f in zip(s, G.unit_quotient.factors))
 
 
-def test_pairing_refuses_an_identity_that_moves_a_code(stages):
+def test_pairing_refuses_an_identity_that_moves_a_code(stages, monkeypatch):
     G, E, scan = _class_number_three_stages(stages)
     assert psi_report(G, E, scan).dim_image == 12 * scan.t_p
-    row = G.wide_mult[0]
-    permuted = G._replace(wide_mult=((row[1], row[0], row[2]),) + G.wide_mult[1:])
-    shifts = G.shift[0]
-    shifted = G._replace(shift=((shifts[0], _bumped(G, shifts[1]), shifts[2]),) + G.shift[1:])
-    for broken in (permuted, shifted):
-        with pytest.raises(ArithmeticError, match="identity shift"):
-            psi_report(broken, E, scan)
+    # ray_class_group refuses a transversal whose first representative is
+    # not (1): a non-principal one moves the wide class of every code, and
+    # the principal (2), whose image in Q is not zero, shifts every q
+
+    def permuted(F, coprime_to, wide):
+        reps = wide_class_reps(F, coprime_to, wide)
+        return (reps[1], reps[0], reps[2])
+
+    def principal_first(F, coprime_to, wide):
+        return (rational_ideal(2, F),) + wide_class_reps(F, coprime_to, wide)[1:]
+
+    for reps in (permuted, principal_first):
+        _refused_at_construction(E, monkeypatch, "identity code", reps=reps)
 
 
-def test_census_sees_a_corrupted_cocycle_entry_at_class_number_three(stages):
-    G, _, scan = _class_number_three_stages(stages)
+def test_census_sees_a_corrupted_cocycle_entry_at_class_number_three(stages, monkeypatch):
+    G, E, scan = _class_number_three_stages(stages)
     shifts = G.shift[1]
     broken = G._replace(
         shift=G.shift[:1] + ((shifts[0], shifts[1], _bumped(G, shifts[2])),) + G.shift[2:]
     )
-    for census in (eigensystem_report, per_class_eigensystem_report):
-        assert census(G, scan).matched_both_degrees
-        assert not census(broken, scan).matched_both_degrees
+    assert eigensystem_report(G, scan).matched_both_degrees
+    assert per_class_eigensystem_report(G, scan).matched_both_degrees
+    assert not per_class_eigensystem_report(broken, scan).matched_both_degrees
+    # the library builds no G whose Smith form disagrees with a cocycle
+    # entry: one reduced with the entry of (1, 2) bumped has the wrong order,
+    # and one whose transform does not kill the relations is refused too
+    s = len(G.unit_quotient.factors)
+
+    def bumped_structure(quotient, relations):
+        relations = list(relations)
+        pair = s + 1 * 3 + 2
+        relations[pair] = tuple(x - (i < s) for i, x in enumerate(relations[pair]))
+        return _sequence_structure(quotient, relations)
+
+    _refused_at_construction(E, monkeypatch, "order disagrees", structure=bumped_structure)
+    _refused_at_construction(E, monkeypatch, "does not kill", structure=_skewed_structure)
+    # in a sweep that fault is an error row of every modulus of norm <= 5, exit 1
+    code, agg = _sweep_under_a_skewed_structure(monkeypatch, G.field, 5, 7)
+    assert (code, agg["failures"]) == (1, [])
+    assert {row.get("error") for row in agg["results"]} == {SKEWED_ROW}
 
 
-def test_census_sees_q_wrap_below_the_order_of_its_image(stages):
+def test_census_sees_q_wrap_below_the_order_of_its_image(stages, monkeypatch):
     # Q = Z/4 read as Z/2: every lifted product still adds, but q wraps at
     # 2 where its image in G = Z/12 has order 4, which only the wraps see
-    G, _, scan = _class_number_three_stages(stages)
+    G, E, scan = _class_number_three_stages(stages)
     broken = G._replace(unit_quotient=G.unit_quotient._replace(factors=(2,)))
-    for census in (eigensystem_report, per_class_eigensystem_report):
-        assert not census(broken, scan).matched_both_degrees
+    assert not per_class_eigensystem_report(broken, scan).matched_both_degrees
+    # the library builds no such G: a Smith form reduced with Q's relation
+    # 4 e_0 read as 2 e_0 has the wrong order
+    def halved_wrap(quotient, relations):
+        return _sequence_structure(quotient, [tuple(x // 2 for x in relations[0])] + relations[1:])
+
+    _refused_at_construction(E, monkeypatch, "order disagrees", structure=halved_wrap)
 
 
 @pytest.mark.parametrize("norm, prime, order", [(1152, 5, 128), (1334025, 13, 69120)])
 def test_pairing_and_census_cost_does_not_grow_with_the_group(
     F2, stages, monkeypatch, norm, prime, order
 ):
-    # one projection per wide pair, wide lift and wrap of Q, and one
-    # inverse, at |G| = 128 and at |G| = 69120 alike
+    # no projection, product or inverse in the pairing or the census, and
+    # one projection per sequence relation when G is built, at |G| = 128
+    # and at |G| = 69120 alike
     modulus = moduli_of_norm(F2, norm)[0]
     G, E, scan = stages(F2, modulus, prime)
     assert G.order == order
-    calls = []
-
-    def counted(method):
-        def wrapper(*args):
-            calls.append(method.__name__)
-            return method(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(QuotientStructure, "project", counted(QuotientStructure.project))
-    for name in ("multiply", "inverse"):
-        monkeypatch.setattr(RayClassGroup, name, counted(getattr(RayClassGroup, name)))
+    calls = _counted_group_calls(monkeypatch)
     psi = psi_report(G, E, scan)
     census = eigensystem_report(G, scan)
     assert psi.dim_image == psi.dim_domain == order * scan.t_p
     assert census.matched_both_degrees
+    assert calls == []
+    G = ray_class_group(E, G.wide)
+    checks = [name for name, receiver in calls if receiver is G.snf]
     h_wide = len(G.wide_reps)
-    assert 0 < len(calls) <= h_wide**2 + len(G.unit_quotient.factors) + h_wide + 2
+    assert 0 < len(checks) <= h_wide**2 + len(G.unit_quotient.factors) + 1
+    assert {name for name, receiver in calls} == {"project"}

@@ -272,11 +272,17 @@ def test_g_is_q_at_class_number_one_against_the_reduction_oracle(F2, cubic_descr
     assert trivial == 88 - 13
 
 
-def test_a_trivial_class_with_a_factor_set_is_refused():
+def test_a_trivial_class_with_a_factor_set_is_refused(F2, seven2, monkeypatch):
+    # at h = 1 G's Smith form is Q on the identity transform, whatever the
+    # factor set; ray_class_group refuses a nonzero shift[0][0]
     quotient = quotient_structure([(2,)], [], 1)
-    with pytest.raises(ArithmeticError):
-        _sequence_structure(quotient, ((0,),), (((1,),),))
-    assert _sequence_structure(quotient, ((0,),), (((0,),),)) == quotient
+    for entry in (0, 1):
+        relations = sequence_relations(quotient, ((0,),), (((entry,),),))
+        assert _sequence_structure(quotient, relations) == quotient
+    # 3 is no generator of (1), and its image in Q = Z/2 x Z/6 is not zero
+    monkeypatch.setattr(WideClassGroup, "quotient_generator", lambda self, a, b, rep: (3, 0))
+    with pytest.raises(ArithmeticError, match="identity code"):
+        ray_class_group(unit_image_in_modulus(F2, seven2))
 
 
 def test_exact_sequence_law_matches_the_cayley_oracle():
