@@ -25,7 +25,7 @@ from .errors import RAN_OUT, TorusHeckeError, ValidationError
 from .field import FieldDescriptor, load_descriptor, poly_discriminant
 from .galois import balanced_coeffs, factor_int, is_prime
 from .hecke import DEFAULT_BUDGET, ScanRows, compute_tp, psi_report, scan_t1, spanning_set
-from .ideals import IdealHNF, ideal_product, unit_ideal
+from .ideals import IdealHNF, conjugate_ideal, ideal_product, unit_ideal
 from .primes import prime_ideals_over, prime_to_ideal
 from .rayclass import narrow_class_number, ray_class_group
 from .units import e_units, unit_image_in_modulus
@@ -221,6 +221,30 @@ def verify_config(stages: ModulusStages, p: int, budget: int):
     return named_checks(report), report
 
 
+def _conjugate_hnf(modulus: IdealHNF, F: FieldDescriptor):
+    """HNF of sigma(modulus) for the automorphism sigma of a quadratic
+    field, whose rows, once computed, are the rows of modulus; None in any
+    other degree, where every modulus is computed.
+
+    sigma carries the unit image and G of m to those of sigma(m), and N(m) =
+    N(sigma m), so the scan skips the same primes.  At unit rank 1, E(m) is
+    generated by a totally positive eta, of norm 1, so sigma(eta) = eta^-1
+    and E(sigma m) = sigma(E(m)) = E(m): the scan dots the same rows with
+    the same exponent vectors, reads as many primes and certifies the same
+    rational ells under any budget.  Only modulus_hnf tells the rows apart.
+    """
+    return conjugate_ideal(modulus, F).hnf if F.degree == 2 else None
+
+
+def _copy_row(x):
+    """A copy of a row, plain JSON, that shares no dict or list with it."""
+    if isinstance(x, dict):
+        return {k: _copy_row(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_copy_row(v) for v in x]
+    return x
+
+
 class SweepConfig(NamedTuple):
     """One theorem sweep: fields x coprime moduli x primes, fixed budget."""
 
@@ -238,6 +262,9 @@ def run_verify(sweep: SweepConfig):
     modulus-outer, so the unit image and G of a modulus are built once for
     all its primes and only one modulus's G is alive at a time.  The prime
     ideals and the scan rows of a field are built once for all its moduli.
+    In a quadratic field a modulus whose conjugate came first with no error
+    row takes copies of the conjugate's rows (see _conjugate_hnf), so each
+    conjugate pair is computed once.
 
     A configuration that raises a package error, ArithmeticError or
     ValueError is recorded in its own row under "error" and the sweep goes
@@ -250,32 +277,42 @@ def run_verify(sweep: SweepConfig):
     for F in sweep.fields:
         shared = FieldStages(F)
         by_prime = [[] for _ in sweep.primes]
+        # (rows of p, row) of each modulus computed with no error row, by HNF
+        computed = {}
         for modulus, norm in moduli_upto(F, sweep.modulus_norm_bound):
+            conjugate = computed.get(_conjugate_hnf(modulus, F))
+            if conjugate is not None:
+                for rows, row in conjugate:
+                    hnf = [list(r) for r in modulus.hnf]
+                    rows.append(_copy_row(row) | {"modulus_hnf": hnf})
+                continue
             stages = ModulusStages(shared, modulus, sweep.cap_residue)
+            own = []
             for p, rows in zip(sweep.primes, by_prime):
                 if norm % p == 0:
                     continue
                 hnf = [list(r) for r in modulus.hnf]
                 try:
-                    checks, report = verify_config(stages, p, sweep.budget)
+                    checks, row = verify_config(stages, p, sweep.budget)
                 except (TorusHeckeError, ArithmeticError, ValueError) as e:
                     if isinstance(e, RAN_OUT):
                         ran_out = True
                     else:
                         errored = True
-                    rows.append(
-                        {
-                            "field": F.label,
-                            "modulus_norm": norm,
-                            "modulus_hnf": hnf,
-                            "p": p,
-                            "error": f"{type(e).__name__}: {e}",
-                        }
-                    )
-                    continue
-                report["modulus_hnf"] = hnf
-                report["checks"] = {name: ok for name, ok in checks}
-                rows.append(report)
+                    row = {
+                        "field": F.label,
+                        "modulus_norm": norm,
+                        "modulus_hnf": hnf,
+                        "p": p,
+                        "error": f"{type(e).__name__}: {e}",
+                    }
+                else:
+                    row["modulus_hnf"] = hnf
+                    row["checks"] = {name: ok for name, ok in checks}
+                rows.append(row)
+                own.append((rows, row))
+            if not any("error" in row for _, row in own):
+                computed[modulus.hnf] = own
         for rows in by_prime:
             results.extend(rows)
     failures = [
@@ -420,9 +457,17 @@ def cmd_invariants(args):
     if not moduli:
         return 1
     reports = []
+    # the report of each modulus computed, by HNF; a report names no modulus,
+    # so a conjugate's is copied as it is (see _conjugate_hnf)
+    computed = {}
     for modulus in moduli:
+        conjugate = computed.get(_conjugate_hnf(modulus, shared.field))
+        if conjugate is not None:
+            reports.append(_copy_row(conjugate))
+            continue
         stages = ModulusStages(shared, modulus, args.cap_residue)
-        reports.append(run_invariants(stages, args.prime, args.budget))
+        computed[modulus.hnf] = run_invariants(stages, args.prime, args.budget)
+        reports.append(computed[modulus.hnf])
     _emit(render_reports(reports, args.format), args.out)
     return 0
 

@@ -163,6 +163,19 @@ def test_run_verify_records_a_failing_configuration_and_goes_on(Fzeta5, F2):
     assert json.dumps(kept) == json.dumps(alone["results"][0])
 
 
+def computed_moduli(F, bound):
+    """(modulus, norm) of moduli_upto(F, bound) that run_verify computes when
+    no row errs: in a quadratic field, those whose conjugate is not listed
+    before them."""
+    seen = set()
+    out = []
+    for a, n in moduli_upto(F, bound):
+        if F.degree != 2 or ideals.conjugate_ideal(a, F).hnf not in seen:
+            out.append((a, n))
+        seen.add(a.hnf)
+    return out
+
+
 def _patch_every_binding_site(monkeypatch, fn, wrapper):
     # `from .x import f` copies f into the importer, so each copy is replaced
     modules = [m for n, m in sys.modules.items() if n.startswith("torushecke")]
@@ -247,11 +260,14 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
     listed = {(labels[poly], ell) for poly, ell in factored}
     assert code == 0
     assert wide_stages == [F.label for F in (F2, F3, F229)]
-    pairs = moduli_upto(F2, 21) + moduli_upto(F3, 21) + moduli_upto(F229, 21)
+    listing = moduli_upto(F2, 21) + moduli_upto(F3, 21) + moduli_upto(F229, 21)
+    pairs = computed_moduli(F2, 21) + computed_moduli(F3, 21) + computed_moduli(F229, 21)
     per_config = sorted((a.hnf, p) for a, n in pairs for p in primes if n % p)
     per_modulus = sum(1 for _, n in pairs if any(n % p for p in primes))
-    # (3), of norm 9, is coprime to 5 and 7 only; the primes over 7 to 3 and 5
-    assert len(per_config) == agg["configurations"] > per_modulus > 0
+    # (3), of norm 9, is coprime to 5 and 7 only; the primes over 7 to 3 and
+    # 5; a modulus after its conjugate copies its rows and runs no stage
+    configurations = sum(1 for _, n in listing for p in primes if n % p)
+    assert configurations == agg["configurations"] > len(per_config) > per_modulus > 0
     assert sorted(configs) == per_config
     assert len(set(characters)) == len(characters) > 0
     assert {(label, p) for label, p, _ in characters} == {
@@ -273,8 +289,8 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
     }
     # the criterion-4 sweep factors each of its 80 (field, ell) once; 87
     # calls when the scan and the moduli each factored on their own.  It
-    # checks E once for each of its 72 moduli, not for each of its 172
-    # configurations
+    # checks E once for each of the 58 of its 72 moduli it computes, and
+    # builds E for 144 of its 172 configurations
     factored.clear()
     prime_ideals_over.cache_clear()
     calls.update(dict.fromkeys(calls, 0))
@@ -282,7 +298,7 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
     code, agg = run_verify(SweepConfig(fields=fields, modulus_norm_bound=10, primes=primes))
     assert code == 0 and agg["configurations"] == 172
     assert len(set(factored)) == len(factored) == 80
-    assert (calls["e_units"], calls["residue_power_product"]) == (172, 72)
+    assert (calls["e_units"], calls["residue_power_product"]) == (144, 58)
 
     # a class number 1 field has the one class of (1), generated by 1: the
     # cubics' ray class groups ask for no generator
@@ -296,9 +312,10 @@ def test_each_stage_runs_once_per_configuration(monkeypatch, F2, F3, seven2, cub
 
 
 def test_each_modulus_reduces_its_unit_map_once(monkeypatch):
-    # per modulus, one Smith form gives the unit kernel and Q; the image
-    # invariants are read off the 2 x 2 kernel HNF, and at class number 1
-    # G is Q itself, so only the 13 moduli of Q(sqrt10) (h = 2) reduce G
+    # per computed modulus, one Smith form gives the unit kernel and Q; the
+    # image invariants are read off the 2 x 2 kernel HNF, and at class
+    # number 1 G is Q itself, so only the 10 computed moduli of Q(sqrt10)
+    # (h = 2) reduce G
     calls = dict.fromkeys(("smith_normal_form", "quotient_structure", "ray_class_group"), 0)
 
     def counting(name, fn):
@@ -312,10 +329,10 @@ def test_each_modulus_reduces_its_unit_map_once(monkeypatch):
         _patch_every_binding_site(monkeypatch, fn, counting(fn.__name__, fn))
     fields = tuple(real_quadratic_field(d) for d in (2, 3, 5, 6, 7, 10, 11, 13))
     code, agg = run_verify(SweepConfig(fields=fields, modulus_norm_bound=10, primes=(3, 5, 7)))
-    moduli = sum(len(moduli_upto(F, 10)) for F in fields)
-    assert code == 0 and agg["configurations"] == 172 and moduli == 72
-    h2 = len(moduli_upto(real_quadratic_field(10), 10))
-    assert h2 == 13
+    moduli = sum(len(computed_moduli(F, 10)) for F in fields)
+    assert code == 0 and agg["configurations"] == 172 and moduli == 58
+    h2 = len(computed_moduli(real_quadratic_field(10), 10))
+    assert h2 == 10
     # the one quotient_structure call of such a modulus is G's
     assert calls == {
         "smith_normal_form": moduli + h2,
@@ -898,20 +915,22 @@ def test_cli_refuses_a_wrong_real_quadratic_descriptor(tmp_path, capsys, descrip
     assert "ValidationError" in captured.err
 
 
+# Z[sqrt40] has conductor 2 in Q(sqrt10) and class number 2
+Z_SQRT40 = {
+    "label": "Z[sqrt40]",
+    "min_poly": [-40, 0, 1],
+    "signature": [2, 0],
+    "torsion": {"order": 2, "generator": [-1, 0]},
+    "fundamental_units": [[19, 3]],
+    "class_number": 2,
+}
+
+
 def test_a_non_maximal_order_takes_no_non_invertible_representative(tmp_path, capsys):
-    # Z[sqrt40] has conductor 2 in Q(sqrt10) and class number 2; the prime
-    # (2, sqrt40) over the conductor is not invertible and lies in no class,
-    # so it must not become a class representative
-    descriptor = {
-        "label": "Z[sqrt40]",
-        "min_poly": [-40, 0, 1],
-        "signature": [2, 0],
-        "torsion": {"order": 2, "generator": [-1, 0]},
-        "fundamental_units": [[19, 3]],
-        "class_number": 2,
-    }
+    # the prime (2, sqrt40) over the conductor is not invertible and lies in
+    # no class, so it must not become a class representative
     path = tmp_path / "z40.json"
-    path.write_text(json.dumps(descriptor))
+    path.write_text(json.dumps(Z_SQRT40))
     assert main(["field", "info", "--descriptor", str(path)]) == 0
     # the unit 19 + 3 sqrt40 has norm +1, so h+ = 2h
     assert json.loads(capsys.readouterr().out)["narrow_class_number"] == 4
@@ -1288,3 +1307,223 @@ def test_pinned_benchmark_output_is_byte_identical(argv, capsys):
     out = capsys.readouterr().out
     assert code == pinned["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == pinned["stdout_sha256"]
+
+
+# ------------------------------------------------------- conjugate moduli
+#
+# In a quadratic field run_verify and the invariants verb compute one
+# modulus of each conjugate pair and copy its rows to the other.  The
+# tests below check the listing and the scan that this rests on, the
+# copies against full computations, and how often a configuration runs.
+
+CRITERION_4_D = (2, 3, 5, 6, 7, 10, 11, 13)
+SWEEP_ARGV = "verify --d 2 --d 3 --d 5 --d 6 --d 7 --d 10 --d 11 --d 13 --modulus-norm 10"
+BIG_UNIT_ARGV = "verify --d 193 --d 229 --d 249 --modulus-norm 5"
+
+
+@pytest.fixture(scope="module")
+def quadratic_listings():
+    """(F, moduli_upto(F, 60)) of the criterion-4 fields, d = 79, 229, 1111
+    and the Z[sqrt40] descriptor."""
+    fields = [real_quadratic_field(d) for d in CRITERION_4_D + (79, 229, 1111)]
+    fields.append(field.load_descriptor(Z_SQRT40))
+    return [(F, moduli_upto(F, 60)) for F in fields]
+
+
+def test_conjugation_permutes_the_listing(quadratic_listings, F2):
+    listings = [(F, [a for a, _ in pairs]) for F, pairs in quadratic_listings]
+    # the two split primes of norm 431 are swapped
+    split = moduli_of_norm(F2, 431)
+    assert len(split) == 2 and ideals.conjugate_ideal(split[0], F2) == split[1]
+    for F, listing in listings + [(F2, split)]:
+        images = [ideals.conjugate_ideal(a, F) for a in listing]
+        assert sorted(b.hnf for b in images) == sorted(a.hnf for a in listing), F.label
+        for a, b in zip(listing, images):
+            assert b.norm == a.norm
+            assert ideals.conjugate_ideal(b, F) == a
+
+
+def test_conjugate_moduli_scan_the_same_primes(quadratic_listings):
+    """compute_tp on m and sigma(m) reads the same primes and certifies the
+    same ells, at p = 2, 3, 5, 7.
+
+    N(m) = N(sigma m), so the scan skips the same primes of the shared
+    rows.  At unit rank 1 E(m) is generated by a totally positive eta, of
+    norm 1, so sigma(eta) = eta^-1 and E(sigma m) = sigma(E(m)) = E(m): both
+    scans dot the same rows with the same exponent vectors, and so agree
+    under any budget.
+    """
+    pairs = 0
+    for F, listing in quadratic_listings:
+        shared = FieldStages(F)
+        for a, norm in listing:
+            b = ideals.conjugate_ideal(a, F)
+            if b.hnf <= a.hnf:
+                continue
+            pairs += 1
+            images = [units.unit_image_in_modulus(F, m) for m in (a, b)]
+            assert images[0].exponent_vectors == images[1].exponent_vectors
+            for p in (2, 3, 5, 7):
+                if norm % p == 0:
+                    continue
+                rows = shared.scan_rows(p)
+                scans = [
+                    hecke.compute_tp(units.e_units(ui, p), p, hecke.DEFAULT_BUDGET, rows)
+                    for ui in images
+                ]
+                seen = [
+                    (s.consumed, s.t_p, [phi.prime.ell for phi in s.certificate]) for s in scans
+                ]
+                assert seen[0] == seen[1], (F.label, a.hnf, p)
+    assert pairs == 282
+
+
+def full_row(shared, modulus, p, budget):
+    """The sweep row of (modulus, p) computed in full, from a fresh
+    ModulusStages: the oracle of a copied row."""
+    hnf = [list(r) for r in modulus.hnf]
+    try:
+        checks, report = verify_config(ModulusStages(shared, modulus), p, budget)
+    except (TorusHeckeError, ArithmeticError, ValueError) as e:
+        return {
+            "field": shared.field.label,
+            "modulus_norm": modulus.norm,
+            "modulus_hnf": hnf,
+            "p": p,
+            "error": f"{type(e).__name__}: {e}",
+        }
+    report["modulus_hnf"] = hnf
+    report["checks"] = dict(checks)
+    return report
+
+
+def assert_no_shared_containers(rows):
+    """Copied rows are copies, not aliases: no list or dict is in two rows."""
+    containers = [
+        id(x) for row in rows for x in (row, *row.values()) if isinstance(x, (list, dict))
+    ]
+    assert len(set(containers)) == len(containers)
+
+
+def assert_copies_match_full_computation(sweep):
+    """Every row of a modulus listed after its conjugate, copied or computed
+    again after an error row, equals its full computation; no two rows share
+    a list or dict.  Returns the number of rows checked."""
+    code, agg = run_verify(sweep)
+    assert_no_shared_containers(agg["results"])
+    rows = {(r["field"], json.dumps(r["modulus_hnf"]), r["p"]): r for r in agg["results"]}
+    checked = 0
+    for F in sweep.fields:
+        shared = FieldStages(F)
+        computed = computed_moduli(F, sweep.modulus_norm_bound)
+        for a, norm in moduli_upto(F, sweep.modulus_norm_bound):
+            if (a, norm) in computed:
+                continue
+            for p in sweep.primes:
+                if norm % p == 0:
+                    continue
+                row = rows[F.label, json.dumps([list(r) for r in a.hnf]), p]
+                assert json.dumps(row) == json.dumps(full_row(shared, a, p, sweep.budget))
+                checked += 1
+    return code, agg, checked
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 3])
+def test_copied_rows_match_full_computation_under_every_budget(budget):
+    fields = tuple(real_quadratic_field(d) for d in CRITERION_4_D)
+    sweep = SweepConfig(fields=fields, modulus_norm_bound=30, primes=(2, 3, 5, 7), budget=budget)
+    code, agg, checked = assert_copies_match_full_computation(sweep)
+    # budget 0 leaves every configuration with a positive target short
+    assert code == (2 if budget == 0 else 0)
+    assert agg["configurations"] == 584 and checked == 177
+
+
+def test_copied_rows_match_full_computation_with_class_numbers_above_one():
+    fields = tuple(real_quadratic_field(d) for d in (229, 1111, 79, 7, 10))
+    sweep = SweepConfig(fields=fields, modulus_norm_bound=60, primes=(3, 5, 7))
+    code, agg, checked = assert_copies_match_full_computation(sweep)
+    assert code == 0 and agg["configurations"] == 837 and checked == 337
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [(SWEEP_ARGV, 144), (BIG_UNIT_ARGV, 40)],
+    ids=["sweep", "big-unit-fields"],
+)
+def test_verify_computes_one_modulus_per_conjugate_pair(monkeypatch, capsys, argv, calls):
+    configs = []
+    checked = cli.verify_config
+
+    def counting_config(stages, p, budget):
+        configs.append((stages.field.label, stages.modulus.hnf, p))
+        return checked(stages, p, budget)
+
+    monkeypatch.setattr(cli, "verify_config", counting_config)
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]["stdout_sha256"]
+    assert len(configs) == len(set(configs)) == calls
+
+
+def test_a_modulus_whose_conjugate_errs_is_computed_in_full(monkeypatch, F2):
+    # a fault at the first prime over 7 alone: its conjugate, listed next,
+    # must not copy the error row, nor skip its own computation
+    first, second = moduli_of_norm(F2, 7)
+    checked = cli.verify_config
+    configs = []
+
+    def refuse_first(stages, p, budget):
+        configs.append((stages.modulus, p))
+        if stages.modulus == first and p == 5:
+            raise CapExceeded("a fault of this modulus alone")
+        return checked(stages, p, budget)
+
+    monkeypatch.setattr(cli, "verify_config", refuse_first)
+    code, agg = run_verify(SweepConfig(fields=(F2,), modulus_norm_bound=7, primes=(3, 5)))
+    assert code == 2
+    rows = {(r["modulus_norm"], json.dumps(r["modulus_hnf"]), r["p"]): r for r in agg["results"]}
+    key = lambda a, p: (7, json.dumps([list(r) for r in a.hnf]), p)
+    assert rows[key(first, 5)]["error"] == "CapExceeded: a fault of this modulus alone"
+    assert "error" not in rows[key(first, 3)]
+    shared = FieldStages(F2)
+    for p in (3, 5):
+        assert rows[key(second, p)] == full_row(shared, second, p, hecke.DEFAULT_BUDGET)
+    sevens = [c for c in configs if c[0].norm == 7]
+    assert sevens == [(first, 3), (first, 5), (second, 3), (second, 5)]
+
+
+def test_invariants_computes_one_modulus_per_conjugate_pair(monkeypatch, capsys, F2):
+    computed = []
+    full = cli.run_invariants
+
+    def counting_invariants(stages, p, budget):
+        computed.append(stages.modulus)
+        return full(stages, p, budget)
+
+    rendered = []
+    render = cli.render_reports
+
+    def recording_render(reports, fmt):
+        rendered.append(reports)
+        return render(reports, fmt)
+
+    monkeypatch.setattr(cli, "run_invariants", counting_invariants)
+    monkeypatch.setattr(cli, "render_reports", recording_render)
+    assert main(["invariants", "--d", "2", "--prime", "5", "--modulus-norm", "431"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    moduli = moduli_of_norm(F2, 431)
+    assert computed == moduli[:1]
+    assert_no_shared_containers(rendered[0])
+    shared = FieldStages(F2)
+    assert reports == [full(ModulusStages(shared, m), 5, hecke.DEFAULT_BUDGET) for m in moduli]
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_pinned_verify_output_does_not_depend_on_the_hash_seed(monkeypatch, seed):
+    # the benchmark fixes PYTHONHASHSEED, a user does not; the rows of
+    # computed moduli sit in a dict
+    monkeypatch.setenv("PYTHONHASHSEED", seed)
+    for argv in (SWEEP_ARGV, BIG_UNIT_ARGV):
+        run = _run_in_a_fresh_process(argv.split())
+        assert run.returncode == PINNED_OUTPUTS[argv]["exit"]
+        assert hashlib.sha256(run.stdout).hexdigest() == PINNED_OUTPUTS[argv]["stdout_sha256"]
